@@ -1,8 +1,8 @@
 // Ablation: sequence-length balance.  The CIM-based TPU's end-to-end win
 // depends on the prefill:decode ratio — long generations amplify the
 // decode advantage, long prompts dilute it.  This sweep contextualizes the
-// paper's Fig. 7 (1024 in / 512 out) choice and our deviation notes in
-// EXPERIMENTS.md.
+// paper's Fig. 7 (1024 in / 512 out) choice; the Fig. 7 bands this
+// reproduction holds are pinned in tests/integration_paper_claims_test.cpp.
 
 #include "arch/chip.h"
 #include "arch/tpu_config.h"

@@ -5,8 +5,7 @@
 //   Design B (8x 16x8) — paper: +33% LLM throughput, 6.34x MXU energy
 //
 // The paper scales batch size up for multi-device serving ("to accommodate
-// large batch sizes"); we use batch 32 and note the choice in
-// EXPERIMENTS.md.
+// large batch sizes") without stating the batch; this bench uses batch 32.
 
 #include <vector>
 

@@ -33,11 +33,13 @@ std::int32_t bit_serial_dot(const std::vector<std::int8_t>& x,
     }
     const std::int64_t plane = adder_tree_sum(partials);
     // Shift-accumulate; the MSB plane carries weight -2^7 (two's
-    // complement sign bit).
+    // complement sign bit).  The plane is signed, so it is scaled by a
+    // multiply: left-shifting a negative value is undefined before C++20.
+    const std::int64_t scaled = plane * (std::int64_t{1} << bit);
     if (bit == 7) {
-      acc -= plane << bit;
+      acc -= scaled;
     } else {
-      acc += plane << bit;
+      acc += scaled;
     }
   }
   return static_cast<std::int32_t>(acc);

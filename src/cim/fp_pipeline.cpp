@@ -87,8 +87,10 @@ AlignedBlock align_products(const std::vector<std::uint16_t>& x,
     const std::int64_t product = static_cast<std::int64_t>(dx[i].mantissa) *
                                  static_cast<std::int64_t>(dw[i].mantissa);
     const int shift = max_exp - (dx[i].exponent + dw[i].exponent);
-    // Keep guard_bits: scale up first, then arithmetic-shift right.
-    const std::int64_t scaled = product << guard_bits;
+    // Keep guard_bits: scale up first (a multiply — the product is signed,
+    // and left-shifting a negative value is undefined before C++20), then
+    // arithmetic-shift right.
+    const std::int64_t scaled = product * (std::int64_t{1} << guard_bits);
     block.terms[i] = shift >= 63 ? 0 : (scaled >> shift);
   }
   return block;

@@ -83,22 +83,38 @@ class LeastLoadedRouter final : public RouterPolicy {
 
 // Requests sharing a prefix_id stick to the replica that served the first
 // of their family, so its prefix cache stays warm for the whole family;
-// first-seen (and untagged) requests fall back to least-loaded.
+// untagged requests fall back to least-loaded.  A family's first request
+// goes to the least-loaded replica too, but ties go to the replica that
+// owns the fewest families (then the lowest index): at low load an idle
+// replica that already owns a family ties with the empty ones, and
+// breaking that tie by index alone stacks families on replica 0 while
+// others never receive one.
 class PrefixAffinityRouter final : public RouterPolicy {
  public:
+  explicit PrefixAffinityRouter(int num_replicas)
+      : families_(static_cast<std::size_t>(num_replicas), 0) {}
+
   int route(const Request& request,
             const std::vector<ReplicaLoad>& loads) override {
-    if (request.prefix_id >= 0) {
-      const auto it = sticky_.find(request.prefix_id);
-      if (it != sticky_.end()) return it->second;
+    if (request.prefix_id < 0) return least_loaded_replica(loads);
+    const auto it = sticky_.find(request.prefix_id);
+    if (it != sticky_.end()) return it->second;
+    int pick = 0;
+    for (int i = 1; i < static_cast<int>(loads.size()); ++i) {
+      const std::int64_t load = loads[i].outstanding_tokens;
+      const std::int64_t best = loads[pick].outstanding_tokens;
+      if (load < best || (load == best && families_[i] < families_[pick])) {
+        pick = i;
+      }
     }
-    const int pick = least_loaded_replica(loads);
-    if (request.prefix_id >= 0) sticky_.emplace(request.prefix_id, pick);
+    sticky_.emplace(request.prefix_id, pick);
+    ++families_[pick];
     return pick;
   }
 
  private:
   std::unordered_map<std::int64_t, int> sticky_;
+  std::vector<int> families_;  ///< prefix families owned, per replica
 };
 
 class TenantStickyRouter final : public RouterPolicy {
@@ -126,7 +142,7 @@ std::map<std::string, RouterPolicyFactory>& router_registry() {
       {"least_loaded",
        [](int) { return std::make_unique<LeastLoadedRouter>(); }},
       {"prefix_affinity",
-       [](int) { return std::make_unique<PrefixAffinityRouter>(); }},
+       [](int n) { return std::make_unique<PrefixAffinityRouter>(n); }},
       {"tenant_sticky",
        [](int n) { return std::make_unique<TenantStickyRouter>(n); }},
   };

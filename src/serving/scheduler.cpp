@@ -853,6 +853,50 @@ bool ContinuousBatchScheduler::next_step(StepRecord* record) {
   return true;
 }
 
+std::int64_t ContinuousBatchScheduler::repeatable_decode_steps(
+    const StepRecord& last) const {
+  // Configuration first: paged KV under a preempting policy never
+  // qualifies, and the per-step path pays for this query after every
+  // decode step.
+  const bool manage_growth = kv_cache_->policy() != EvictionPolicy::kNone;
+  if (manage_growth && config_.kv_block_tokens != 1) return 0;
+  if (last.kind != StepRecord::Kind::kDecode) return 0;
+  if (resident_decoders_ == 0 || !swapped_.empty() ||
+      resident_decoders_ != static_cast<std::int64_t>(resident_.size())) {
+    return 0;
+  }
+  if (!admission_->empty() && !admit_blocked_ &&
+      resident_.size() < static_cast<std::size_t>(effective_max_batch())) {
+    return 0;
+  }
+  if (decode_kv_histogram_ != last.decode_groups) return 0;
+  std::int64_t steps = std::numeric_limits<std::int64_t>::max();
+  if (manage_growth) {
+    // Occupied blocks include cached prefix blocks, so this headroom bounds
+    // both of can_bulk_grow's checks (referenced <= occupied).
+    steps = (kv_cache_->capacity_blocks() - kv_cache_->occupied_blocks()) /
+            resident_decoders_;
+  }
+  for (const std::int32_t slot : resident_) {
+    const std::int64_t generated = pool_.generated[slot];
+    steps = std::min(steps, pool_.output_len[slot] - generated - 2);
+    steps = std::min(steps, pool_.bucket[slot] -
+                                (pool_.prompt_len[slot] + generated));
+  }
+  return std::max<std::int64_t>(steps, 0);
+}
+
+void ContinuousBatchScheduler::repeat_decode_steps(std::int64_t n) {
+  CIMTPU_CHECK(n >= 0);
+  const bool manage_growth = kv_cache_->policy() != EvictionPolicy::kNone;
+  for (const std::int32_t slot : resident_) {
+    pool_.generated[slot] += n;
+    if (manage_growth) kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot], n);
+  }
+  if (manage_growth) kv_cache_->commit_bulk_growth(n * resident_decoders_);
+  total_steps_ += n;
+}
+
 std::optional<StepRecord> ContinuousBatchScheduler::next_step() {
   StepRecord record;
   if (!next_step(&record)) return std::nullopt;

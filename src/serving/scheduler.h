@@ -201,6 +201,41 @@ class ContinuousBatchScheduler {
   /// Convenience wrapper allocating a fresh record per step.
   std::optional<StepRecord> next_step();
 
+  // --- Decode fast-forward ------------------------------------------------
+  // Steady decode repeats one step exactly, often for hundreds of steps in
+  // a row: the same participants in the same KV buckets, with no arrival,
+  // finish, preemption, swap or shed.  The engine (serving_sim.h) books
+  // such a run in one call instead of planning each step.
+  //
+  // `repeatable_decode_steps(last)` is a pure query: how many upcoming
+  // next_step calls are GUARANTEED to plan a decode step identical to
+  // `last` (same decode_groups, no event of any kind).  It returns 0
+  // unless all of these hold:
+  //   * `last` was a decode step and the bucketed KV histogram still
+  //     equals last.decode_groups (the next step would cost the same);
+  //   * every resident is a decoder and nothing is swapped out (no prefill
+  //     work and no swap-in can be planned);
+  //   * no admission can happen: nothing waits, the head-of-line probe
+  //     memo (admit_blocked_) holds, or the batch is full — so neither the
+  //     policy's select nor its shedding runs;
+  //   * under a preempting policy the KV block size is 1, so every step
+  //     takes the bulk-growth path (kNone never grows KV in decode).
+  // The count is the minimum of three limits: per decoder
+  // output_len - generated - 2 (nobody finishes, and the pending-growth
+  // count never changes), per decoder bucket - kv_len (nobody crosses a
+  // cost bucket), and — preempting policies only —
+  // (capacity_blocks - occupied_blocks) / decoders, so
+  // can_bulk_grow holds and no eviction or reclaim fires on any step.
+  //
+  // `repeat_decode_steps(n)` commits n such steps (n must not exceed the
+  // query's answer): each decoder's generated count and KV entry advance
+  // by n, the KV manager books n x decoders unit grows in one commit, and
+  // total_steps() advances by n.  The resulting state — aggregates, KV
+  // counters, step count and the next planned step — equals that of n
+  // next_step calls (tests/serving_repeat_decode_test.cpp).
+  std::int64_t repeatable_decode_steps(const StepRecord& last) const;
+  void repeat_decode_steps(std::int64_t n);
+
   /// Test-only audit: recomputes the incremental decoder aggregates
   /// (resident/growing counts, bucketed-KV histogram) from a full scan of
   /// the resident sequences and compares them to the tracked values.

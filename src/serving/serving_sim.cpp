@@ -151,6 +151,10 @@ struct ServingEngine::Impl {
   TimeSeriesSampler sampler;
   bool tracing;
   bool sampling;
+  /// Decode fast-forward gate: event tracing, time-series sampling and
+  /// fault polling all observe individual steps, so any of them keeps the
+  /// engine on the per-step path.
+  bool fast_forward;
 
   std::int64_t layers;
   std::int64_t stage_layers;
@@ -216,6 +220,7 @@ struct ServingEngine::Impl {
         sampler(scenario.trace.sample_interval),
         tracing(scenario.trace.enabled),
         sampling(sampler.enabled()),
+        fast_forward(!tracing && !sampling && !scenario.fault.enabled),
         layers(scenario.model.num_layers),
         stage_layers(ceil_div<std::int64_t>(layers, scenario.chips)),
         boundaries(scenario.chips - 1),
@@ -531,40 +536,23 @@ struct ServingEngine::Impl {
       }
       const Seconds emit_extra = static_cast<double>(boundaries) * stage_time;
 
-      const Seconds step_latency = stage_time + swap_time;
-      now += step_latency;
-      const Seconds emit_time = now + emit_extra;
-
-      metrics.total_steps += 1;
-      if (is_prefill) {
-        metrics.prefill_steps += 1;
-      } else {
-        metrics.decode_steps += 1;
+      StepCharge charge;
+      charge.prefill = is_prefill;
+      charge.batch = step.batch;
+      charge.latency = stage_time + swap_time;
+      charge.layer_cost = layer_cost;
+      if (boundaries > 0) {
+        charge.boundary_energy = static_cast<double>(boundaries) *
+                                 chip.ici().p2p_energy(boundary_bytes);
       }
-      step_latency_histogram->observe(step_latency);
-      step_batch_histogram->observe(static_cast<double>(step.batch));
+      account_steps(charge, 1);
+      const Seconds emit_time = now + emit_extra;
       if (tracing) {
-        trace->end_step(is_prefill, step.batch, now, step_latency,
+        trace->end_step(is_prefill, step.batch, now, charge.latency,
                         kv_cache.referenced_blocks(),
                         kv_cache.blocks_allocated_total() - kv_alloc_before,
                         kv_cache.cached_blocks_reclaimed_total() -
                             kv_reclaim_before);
-      }
-      // Paged-KV gauge: last-block waste across resident mappings, sampled
-      // once per engine step (identically 0 at block size 1).
-      fragmentation_sum += kv_cache.internal_fragmentation();
-      // TP shards replicate every layer's execution (and hence busy time
-      // and energy) across `ways` chips; ways == 1 multiplies by exactly
-      // 1.0, bit-identical to the pre-TP accounting.
-      busy_time += static_cast<double>(layers) * layer_cost.mxu_busy_time *
-                   tp_scale;
-      metrics.mxu_energy +=
-          static_cast<double>(layers) * layer_cost.mxu_energy * tp_scale;
-      metrics.total_energy +=
-          static_cast<double>(layers) * layer_cost.total_energy * tp_scale;
-      if (boundaries > 0) {
-        metrics.total_energy += static_cast<double>(boundaries) *
-                                chip.ici().p2p_energy(boundary_bytes);
       }
 
       for (std::int64_t id : step.first_token_ids) {
@@ -628,7 +616,87 @@ struct ServingEngine::Impl {
         sample.tenant_admitted_tokens.assign(tenants.begin(), tenants.end());
         sampler.record(std::move(sample));
       }
+
+      // Decode fast-forward: after an event-free decode step, book the run
+      // of identical steps that follows in one go (see the lifecycle note
+      // in serving_sim.h).
+      if (fast_forward && !is_prefill && step.finished_ids.empty() &&
+          step.preempted_ids.empty() && step.swapped_out_ids.empty() &&
+          step.swapped_in_ids.empty() && step.shed_ids.empty()) {
+        fast_forward_decode(charge, scheduler.repeatable_decode_steps(step),
+                            until);
+      }
     }
+  }
+
+  /// What one executed step charges to the run — everything account_steps
+  /// needs to book it again.
+  struct StepCharge {
+    bool prefill = false;
+    std::int64_t batch = 0;
+    Seconds latency = 0;  ///< stage time plus swap transfer
+    StepCost layer_cost;
+    Joules boundary_energy = 0;  ///< ICI handoff energy (pipelines only)
+  };
+
+  // Books `max_repeats` (or fewer) further copies of the decode step that
+  // just ran.  Copy k would start at now + k x latency; the per-step loop
+  // runs it only while that start is before `until`, the horizon and the
+  // next arrival (whose feed would change the batch), so the run is cut at
+  // the first start that reaches any of them — the loop then resumes
+  // exactly where the per-step path would be.
+  void fast_forward_decode(const StepCharge& charge, std::int64_t max_repeats,
+                           Seconds until) {
+    Seconds stop = until;
+    if (next_arrival < requests.size()) {
+      stop = std::min(stop, requests[next_arrival].arrival_time);
+    }
+    if (scenario.max_sim_seconds > 0) {
+      stop = std::min(stop, scenario.max_sim_seconds);
+    }
+    std::int64_t repeats = 0;
+    for (Seconds start = now; repeats < max_repeats && start < stop;
+         start += charge.latency) {
+      ++repeats;
+    }
+    if (repeats == 0) return;
+    scheduler.repeat_decode_steps(repeats);
+    account_steps(charge, repeats);
+  }
+
+  // Books `repeats` back-to-back executions of one costed step into the
+  // clock, the step counters and histograms, the fragmentation sample and
+  // the busy-time / energy accumulators.  Every double is accumulated once
+  // per execution, in the per-step order, so repeats = n leaves exactly
+  // the state of n calls with repeats = 1.  The fragmentation gauge is
+  // read once: a repeated decode run never changes it (always 0 at block
+  // size 1; kNone decode never touches the KV manager).
+  void account_steps(const StepCharge& charge, std::int64_t repeats) {
+    const double fragmentation = kv_cache.internal_fragmentation();
+    for (std::int64_t i = 0; i < repeats; ++i) {
+      now += charge.latency;
+      // Paged-KV gauge: last-block waste across resident mappings, sampled
+      // once per engine step (identically 0 at block size 1).
+      fragmentation_sum += fragmentation;
+      // TP shards replicate every layer's execution (and hence busy time
+      // and energy) across `ways` chips; ways == 1 multiplies by exactly
+      // 1.0, bit-identical to the pre-TP accounting.
+      busy_time += static_cast<double>(layers) *
+                   charge.layer_cost.mxu_busy_time * tp_scale;
+      metrics.mxu_energy += static_cast<double>(layers) *
+                            charge.layer_cost.mxu_energy * tp_scale;
+      metrics.total_energy += static_cast<double>(layers) *
+                              charge.layer_cost.total_energy * tp_scale;
+      if (boundaries > 0) metrics.total_energy += charge.boundary_energy;
+    }
+    metrics.total_steps += repeats;
+    if (charge.prefill) {
+      metrics.prefill_steps += repeats;
+    } else {
+      metrics.decode_steps += repeats;
+    }
+    step_latency_histogram->observe(charge.latency, repeats);
+    step_batch_histogram->observe(static_cast<double>(charge.batch), repeats);
   }
 
   ServingMetrics finish() {

@@ -189,6 +189,25 @@ struct ServingMetrics {
 /// run_serving on that trace: pump's stop point only truncates the loop
 /// BETWEEN iterations, never inside one, and an idle engine advances its
 /// clock exactly to the next arrival / retry / horizon event as before.
+///
+/// Decode fast-forward.  Steady decode repeats one step exactly for long
+/// runs, so after a decode step that emitted, preempted, swapped and shed
+/// nothing, the engine asks the scheduler how many following steps must
+/// repeat it (ContinuousBatchScheduler::repeatable_decode_steps: every
+/// resident decoding, no admission possible, nobody finishing or crossing
+/// a cost bucket, bulk KV growth guaranteed) and books them in one call.
+/// The run is cut before the first copy that would start at or past
+/// pump's stop point, the horizon, or the next arrival — exactly where the
+/// per-step loop would stop or feed a request — so stop points still fall
+/// between iterations.  Bit-identity: a repeated step has the same
+/// participants in the same buckets, hence the same cost; each double
+/// (clock, busy time, energies, fragmentation, histogram sums) is still
+/// accumulated once per step in the per-step order, and the integer
+/// counters add the repeat count, so every output equals the per-step
+/// run's.  Event tracing, time-series sampling and fault injection observe
+/// individual steps: with any of them on, the engine takes the per-step
+/// path only (tests/serving_repeat_decode_test.cpp uses a traced run as
+/// the reference for the untraced one).
 class ServingEngine {
  public:
   explicit ServingEngine(const ServingScenario& scenario,

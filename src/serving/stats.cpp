@@ -53,7 +53,8 @@ FixedBucketHistogram::FixedBucketHistogram(std::vector<double> upper_bounds)
   }
 }
 
-void FixedBucketHistogram::observe(double value) {
+void FixedBucketHistogram::observe(double value, std::int64_t repeats) {
+  if (repeats <= 0) return;
   // First bucket covers (-inf, bounds_[0]]; the final (overflow) bucket
   // covers (bounds_.back(), +inf).  Successive observations cluster
   // (steady decode repeats the same step latency and batch), so try the
@@ -68,7 +69,7 @@ void FixedBucketHistogram::observe(double value) {
         bounds_.begin());
     last_bucket_ = bucket;
   }
-  ++counts_[bucket];
+  counts_[bucket] += repeats;
   if (count_ == 0) {
     min_ = value;
     max_ = value;
@@ -76,8 +77,8 @@ void FixedBucketHistogram::observe(double value) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  sum_ += value;
-  ++count_;
+  for (std::int64_t i = 0; i < repeats; ++i) sum_ += value;
+  count_ += repeats;
 }
 
 FixedBucketHistogram FixedBucketHistogram::from_parts(

@@ -38,7 +38,11 @@ class FixedBucketHistogram {
   FixedBucketHistogram() : counts_(1, 0) {}
   explicit FixedBucketHistogram(std::vector<double> upper_bounds);
 
-  void observe(double value);
+  /// Records `value` `repeats` times (>= 1; 0 is a no-op).  The sum is
+  /// accumulated once per repeat, so observe(v, n) leaves exactly the
+  /// state of n observe(v) calls — the engine's decode fast-forward
+  /// (serving_sim.h) books a run of identical steps this way.
+  void observe(double value, std::int64_t repeats = 1);
 
   std::int64_t count() const { return count_; }
   double sum() const { return sum_; }

@@ -1,7 +1,9 @@
 // Integration tests pinning the reproduction to the paper's published
-// results.  Each claim is asserted within a documented tolerance band
-// (EXPERIMENTS.md records the bands and the rationale); a regression that
-// silently drifts the model away from the paper fails here.
+// results.  Each claim is asserted within a tolerance band stated in its
+// test, with a comment wherever the model departs from the published
+// number (src/tech/calibration.h documents the tuned factors behind these
+// ratios); a regression that silently drifts the model away from the paper
+// fails here.
 
 #include <gtest/gtest.h>
 
@@ -126,8 +128,8 @@ TEST_F(PaperClaimsTest, Fig6_DecodeAttentionGemvSpeedup) {
 // --- Fig. 6: DiT -------------------------------------------------------------------
 
 TEST_F(PaperClaimsTest, Fig6_DitLatencyCimWins) {
-  // Paper: -6.67%; our model lands at a smaller win (see EXPERIMENTS.md),
-  // but the sign and the mechanism must hold.
+  // Paper: -6.67%; our model lands at a smaller win (anywhere in 0-12%
+  // passes), but the sign and the mechanism must hold.
   const auto base = sim::run_dit_block(base_sim_, dit_, geometry_, 8);
   const auto cim = sim::run_dit_block(cim_sim_, dit_, geometry_, 8);
   const double delta = 1.0 - cim.latency / base.latency;

@@ -14,6 +14,7 @@
 #include "serving/arena.h"
 #include "serving/kv_cache_manager.h"
 #include "serving/scheduler.h"
+#include "serving/stats.h"
 #include "serving/step_cost_cache.h"
 #include "sim/simulator.h"
 
@@ -122,6 +123,7 @@ TEST_F(SteadyDecodeTest, HotLoopIsAllocationFreeInSteadyState) {
   }
   ASSERT_EQ(record.kind, StepRecord::Kind::kDecode) << "warm-up too short";
 
+  FixedBucketHistogram histogram(exponential_bounds(1e-4, 2.0, 20));
   const std::int64_t before = allocations();
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(scheduler.next_step(&record));
@@ -131,6 +133,14 @@ TEST_F(SteadyDecodeTest, HotLoopIsAllocationFreeInSteadyState) {
   }
   EXPECT_EQ(allocations(), before)
       << "steady-state decode (next_step + cost_step) must not allocate";
+
+  // The decode fast-forward books the rest of this bucket's run: the
+  // eligibility query, the bulk commit and the histogram's repeat form.
+  const std::int64_t repeatable = scheduler.repeatable_decode_steps(record);
+  ASSERT_GT(repeatable, 0);
+  scheduler.repeat_decode_steps(repeatable);
+  histogram.observe(0.01, repeatable);
+  EXPECT_EQ(allocations(), before) << "the decode fast-forward must not allocate";
 }
 
 }  // namespace

@@ -122,6 +122,25 @@ TEST(RouterPolicyTest, PrefixAffinitySticksToFirstPick) {
             0);
 }
 
+TEST(RouterPolicyTest, PrefixAffinityFirstTouchTiesSpreadFamilies) {
+  auto policy = make_router_policy("prefix_affinity", 4);
+  const auto idle = loads_of({0, 0, 0, 0});
+  // Replica 0 owns family 10 but is idle again when family 11 first
+  // arrives: the tie goes to a replica that owns no family.
+  EXPECT_EQ(policy->route(make_request(0, 0.0, 0, 10), idle), 0);
+  EXPECT_EQ(policy->route(make_request(1, 1.0, 0, 11), idle), 1);
+  EXPECT_EQ(policy->route(make_request(2, 2.0, 0, 12), idle), 2);
+  EXPECT_EQ(policy->route(make_request(3, 3.0, 0, 13), idle), 3);
+  // Every replica owns one family: the tie falls back to the lowest index.
+  EXPECT_EQ(policy->route(make_request(4, 4.0, 0, 14), idle), 0);
+  // Load still comes first: the less-loaded replica wins even though it
+  // owns more families.
+  EXPECT_EQ(policy->route(make_request(5, 5.0, 0, 15), loads_of({1, 2, 2, 2})),
+            0);
+  // Untagged requests keep plain least-loaded (ties to the lowest index).
+  EXPECT_EQ(policy->route(make_request(6, 6.0, 0, -1), idle), 0);
+}
+
 TEST(RouterPolicyTest, TenantStickyAssignsFirstSeenRoundRobin) {
   auto policy = make_router_policy("tenant_sticky", 2);
   const auto loads = loads_of({0, 0});
