@@ -897,10 +897,4 @@ void ContinuousBatchScheduler::repeat_decode_steps(std::int64_t n) {
   total_steps_ += n;
 }
 
-std::optional<StepRecord> ContinuousBatchScheduler::next_step() {
-  StepRecord record;
-  if (!next_step(&record)) return std::nullopt;
-  return record;
-}
-
 }  // namespace cimtpu::serving

@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -197,9 +196,6 @@ class ContinuousBatchScheduler {
   /// empty the engine; the sheds are reported in record->shed_ids, and no
   /// step ran).  For non-shedding policies a non-idle engine always steps.
   bool next_step(StepRecord* record);
-
-  /// Convenience wrapper allocating a fresh record per step.
-  std::optional<StepRecord> next_step();
 
   // --- Decode fast-forward ------------------------------------------------
   // Steady decode repeats one step exactly, often for hundreds of steps in

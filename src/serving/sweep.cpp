@@ -8,70 +8,21 @@
 #include <limits>
 #include <sstream>
 #include <thread>
-#include <type_traits>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define CIMTPU_SWEEP_HAS_FORK 1
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 #include "common/status.h"
 #include "serving/cluster.h"
-#include "serving/metrics_codec.h"
 
 namespace cimtpu::serving {
 
 namespace {
-
-// FNV-1a 64, fed byte-wise.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t hash = kFnvOffset) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-template <typename T>
-std::uint64_t fnv1a_value(const T& value, std::uint64_t hash) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return fnv1a(&value, sizeof(value), hash);
-}
-
-// Content hash of the request trace: every field of every request, in
-// order.  Hashing raw field bytes is exact (no float formatting loss);
-// the enclosing signature carries the count so traces that are prefixes
-// of each other cannot collide by truncation.
-std::uint64_t requests_content_hash(const std::vector<Request>& requests) {
-  std::uint64_t hash = kFnvOffset;
-  for (const Request& r : requests) {
-    hash = fnv1a_value(r.id, hash);
-    hash = fnv1a_value(r.arrival_time, hash);
-    hash = fnv1a_value(r.prompt_len, hash);
-    hash = fnv1a_value(r.output_len, hash);
-    hash = fnv1a_value(r.priority, hash);
-    hash = fnv1a_value(r.tenant_id, hash);
-    hash = fnv1a_value(r.prefix_id, hash);
-    hash = fnv1a_value(r.prefix_len, hash);
-    hash = fnv1a_value(r.ttft_deadline, hash);
-    hash = fnv1a_value(r.tpot_deadline, hash);
-  }
-  return hash;
-}
 
 // Runs one sweep point: single-engine when point.replicas == 0 (the
 // pre-cluster path, untouched), otherwise an N-replica cluster of the
 // cell's deployment shape, flattened so cluster cells sit next to
 // single-engine cells in one result table.
 ServingMetrics run_point(const SweepPoint& point,
-                         const ServingScenario& scenario,
                          SharedStepCostCache* shared_costs) {
+  const ServingScenario& scenario = point.scenario;
   if (point.replicas <= 0) {
     return run_serving(scenario, *point.requests, shared_costs);
   }
@@ -87,24 +38,7 @@ ServingMetrics run_point(const SweepPoint& point,
       run_serving_cluster(config, *point.requests, shared_costs));
 }
 
-// The scenario a point actually simulates under `options` (the
-// force_trace_off override applied).
-ServingScenario effective_scenario(const SweepPoint& point,
-                                   const SweepOptions& options) {
-  ServingScenario scenario = point.scenario;
-  if (options.force_trace_off) {
-    scenario.trace.enabled = false;
-    scenario.trace.sample_interval = 0;
-  }
-  return scenario;
-}
-
-bool scenario_traced(const ServingScenario& scenario) {
-  return scenario.trace.enabled || scenario.trace.sample_interval > 0;
-}
-
-// Failure-message prefix, identical between the thread and fork paths so
-// the driver choice never changes what a failing sweep reports.
+// Failure-message prefix: names the point by grid index and label.
 std::string describe_point(const std::vector<SweepPoint>& points,
                            std::size_t i, const char* what) {
   std::ostringstream message;
@@ -136,106 +70,6 @@ int parse_env_worker_count(const char* name) {
 
 }  // namespace
 
-std::string sweep_point_signature(const SweepPoint& point) {
-  const ServingScenario& s = point.scenario;
-  std::ostringstream sig;
-  sig.precision(17);  // doubles round-trip exactly
-  // Chip + model + cost bucket reuse the cost cache's exhaustive
-  // signature — every layer-simulator knob is already spelled out there.
-  sig << cost_cache_signature(s.chip_config, s.model, s.scheduler.seqlen_bucket)
-      << "||chips=" << s.chips << "|tp=" << s.tensor_parallel_ways
-      << "|evict=" << eviction_policy_name(s.eviction)
-      << "|kv_budget=" << s.kv_budget_override
-      << "|host_pool=" << s.host_pool_capacity
-      << "|host_bw=" << s.host_link_bandwidth
-      << "|horizon=" << s.max_sim_seconds;
-  const SchedulerConfig& sched = s.scheduler;
-  sig << "||batch=" << sched.max_batch << ',' << sched.max_prefill_batch
-      << "|kv_block=" << sched.kv_block_tokens
-      << "|prefix_cache=" << sched.enable_prefix_cache
-      << "|chunk=" << sched.prefill_chunk_tokens
-      << "|batched_cost=" << sched.batched_prefill_cost;
-  const AdmissionConfig& adm = sched.admission;
-  sig << "||adm=" << adm.policy << "|aging=" << adm.aging_rate
-      << "|edf_slack=" << adm.edf_shed_slack_s << ','
-      << adm.edf_degraded_extra_slack_s << "|tenants=";
-  for (const TenantShare& t : adm.tenants) {
-    sig << '(' << t.tenant_id << ',' << t.weight << ',' << t.token_rate_cap
-        << ',' << t.burst_tokens << ')';
-  }
-  const FaultConfig& f = s.fault;
-  sig << "||fault=" << f.enabled << "|seed=" << f.seed
-      << "|stall=" << f.stall_rate_per_s << ',' << f.stall_duration_s << ','
-      << f.stall_latency_multiplier << "|kv_loss=" << f.kv_loss_rate_per_s
-      << "|dev_fail=" << f.device_failure_rate_per_s << ','
-      << f.device_restart_s << "|recovery=" << f.recovery_enabled << ','
-      << static_cast<int>(f.kv_restore) << "|retry=" << f.retry_backoff_base_s
-      << ',' << f.retry_backoff_max_s << ',' << f.retry_budget
-      << "|degrade=" << f.degrade_window_s << ',' << f.degrade_enter_faults
-      << ',' << f.degrade_exit_faults << ','
-      << f.degraded_max_batch_fraction << ','
-      << f.degrade_pause_prefix_cache << ','
-      << f.degraded_extra_shed_slack_s;
-  sig << "||replicas=" << point.replicas << "|router=" << point.router_policy
-      << "|disagg=" << point.disaggregated
-      << "|prefill_replicas=" << point.prefill_replicas;
-  sig << "||requests=" << point.requests->size() << ':'
-      << requests_content_hash(*point.requests);
-  return sig.str();
-}
-
-std::uint64_t sweep_signature_hash(const std::string& signature) {
-  return fnv1a(signature.data(), signature.size());
-}
-
-bool SharedSweepResultStore::try_get(const std::string& signature,
-                                     ServingMetrics* out) {
-  const std::uint64_t hash = sweep_signature_hash(signature);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(hash);
-  if (it != entries_.end()) {
-    for (const Entry& entry : it->second) {
-      // Full-signature confirmation: a 64-bit hash collision between
-      // distinct configs must fall through to a miss, never alias.
-      if (entry.signature == signature) {
-        *out = entry.metrics;
-        ++hits_;
-        return true;
-      }
-    }
-  }
-  ++misses_;
-  return false;
-}
-
-void SharedSweepResultStore::put(const std::string& signature,
-                                 const ServingMetrics& metrics) {
-  const std::uint64_t hash = sweep_signature_hash(signature);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Entry>& chain = entries_[hash];
-  for (const Entry& entry : chain) {
-    if (entry.signature == signature) return;  // first writer wins
-  }
-  chain.push_back(Entry{signature, metrics});
-}
-
-std::size_t SharedSweepResultStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t total = 0;
-  for (const auto& [hash, chain] : entries_) total += chain.size();
-  return total;
-}
-
-std::int64_t SharedSweepResultStore::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::int64_t SharedSweepResultStore::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
 int resolve_sweep_threads(int requested, std::size_t num_points) {
   int threads = requested;
   if (threads <= 0) threads = parse_env_worker_count("CIMTPU_SWEEP_THREADS");
@@ -247,213 +81,6 @@ int resolve_sweep_threads(int requested, std::size_t num_points) {
   return static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(threads), num_points));
 }
-
-int resolve_sweep_processes(int requested, std::size_t num_points) {
-  int processes = requested;
-  if (processes <= 0) {
-    processes = parse_env_worker_count("CIMTPU_SWEEP_PROCESSES");
-  }
-  if (processes <= 0) processes = 1;  // opt-in: in-process by default
-  if (num_points < 1) num_points = 1;
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(processes), num_points));
-}
-
-#ifdef CIMTPU_SWEEP_HAS_FORK
-
-namespace {
-
-// Child -> parent record framing over the pipe:
-//   [u64 point index][u8 status][u64 payload length][payload bytes]
-// status 0: payload = serialize_metrics bytes.  1 / 2: payload = the
-// describe_point-prefixed ConfigError / InternalError message.  3: any
-// other exception — the concrete type cannot cross the process boundary,
-// so the parent resurfaces it as an InternalError carrying what().
-enum class RecordStatus : std::uint8_t {
-  kOk = 0,
-  kConfigError = 1,
-  kInternalError = 2,
-  kOtherError = 3,
-};
-
-void write_exact(int fd, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::write(fd, bytes, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      _exit(112);  // parent died / pipe broke: nothing left to report to
-    }
-    bytes += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
-bool read_exact(int fd, void* data, std::size_t len, bool* clean_eof) {
-  auto* bytes = static_cast<char*>(data);
-  bool first = true;
-  while (len > 0) {
-    const ssize_t n = ::read(fd, bytes, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) {
-      *clean_eof = first;  // EOF at a record boundary is the normal end
-      return false;
-    }
-    first = false;
-    bytes += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-// Child worker body: simulates every `stride`-th todo point starting at
-// `first` and streams one record per point.  Never throws (an escaped
-// exception would std::terminate the child into a confusing SIGABRT);
-// never returns to the caller's stack — always _exit, so the child skips
-// parent-inherited atexit handlers and stdio flushes.
-[[noreturn]] void sweep_child_main(const std::vector<SweepPoint>& points,
-                                   const std::vector<std::size_t>& todo,
-                                   std::size_t first, std::size_t stride,
-                                   const SweepOptions& options, int fd) {
-  SharedStepCostCache child_costs;
-  SharedStepCostCache* shared_costs =
-      options.share_cost_cache ? &child_costs : nullptr;
-  for (std::size_t j = first; j < todo.size(); j += stride) {
-    const std::size_t i = todo[j];
-    RecordStatus status = RecordStatus::kOk;
-    std::string payload;
-    try {
-      payload = serialize_metrics(
-          run_point(points[i], effective_scenario(points[i], options),
-                    shared_costs));
-    } catch (const ConfigError& error) {
-      status = RecordStatus::kConfigError;
-      payload = describe_point(points, i, error.what());
-    } catch (const InternalError& error) {
-      status = RecordStatus::kInternalError;
-      payload = describe_point(points, i, error.what());
-    } catch (const std::exception& error) {
-      status = RecordStatus::kOtherError;
-      payload = describe_point(points, i, error.what());
-    } catch (...) {
-      status = RecordStatus::kOtherError;
-      payload = describe_point(points, i, "unknown exception");
-    }
-    const auto index = static_cast<std::uint64_t>(i);
-    const auto length = static_cast<std::uint64_t>(payload.size());
-    const auto status_byte = static_cast<std::uint8_t>(status);
-    write_exact(fd, &index, sizeof(index));
-    write_exact(fd, &status_byte, sizeof(status_byte));
-    write_exact(fd, &length, sizeof(length));
-    write_exact(fd, payload.data(), payload.size());
-  }
-  ::close(fd);
-  _exit(0);
-}
-
-// Fork fan-out: `processes` children each simulate a round-robin slice of
-// the not-yet-resolved points and stream binary metrics back.  The parent
-// drains each pipe to EOF in turn (children are independent, so a child
-// blocked on its full pipe simply waits until its turn — no deadlock
-// cycle exists) and reaps every child before surfacing errors.
-void run_sweep_forked(const std::vector<SweepPoint>& points,
-                      const std::vector<std::size_t>& todo,
-                      const SweepOptions& options, int processes,
-                      std::vector<ServingMetrics>* results,
-                      std::vector<std::exception_ptr>* errors) {
-  struct Child {
-    pid_t pid = -1;
-    int fd = -1;
-  };
-  std::vector<Child> children;
-  children.reserve(static_cast<std::size_t>(processes));
-  for (int k = 0; k < processes; ++k) {
-    int fds[2];
-    CIMTPU_CHECK(::pipe(fds) == 0);
-    const pid_t pid = ::fork();
-    CIMTPU_CHECK(pid >= 0);
-    if (pid == 0) {
-      ::close(fds[0]);
-      for (const Child& sibling : children) ::close(sibling.fd);
-      sweep_child_main(points, todo, static_cast<std::size_t>(k),
-                       static_cast<std::size_t>(processes), options, fds[1]);
-    }
-    ::close(fds[1]);
-    children.push_back(Child{pid, fds[0]});
-  }
-
-  std::vector<char> received(points.size(), 0);
-  bool truncated = false;
-  for (const Child& child : children) {
-    for (;;) {
-      std::uint64_t index = 0;
-      std::uint8_t status_byte = 0;
-      std::uint64_t length = 0;
-      bool clean_eof = false;
-      if (!read_exact(child.fd, &index, sizeof(index), &clean_eof)) {
-        truncated = truncated || !clean_eof;
-        break;
-      }
-      std::string payload;
-      if (!read_exact(child.fd, &status_byte, sizeof(status_byte),
-                      &clean_eof) ||
-          !read_exact(child.fd, &length, sizeof(length), &clean_eof)) {
-        truncated = true;
-        break;
-      }
-      payload.resize(static_cast<std::size_t>(length));
-      if (length > 0 &&
-          !read_exact(child.fd, &payload[0], payload.size(), &clean_eof)) {
-        truncated = true;
-        break;
-      }
-      CIMTPU_CHECK(index < points.size());
-      received[index] = 1;
-      switch (static_cast<RecordStatus>(status_byte)) {
-        case RecordStatus::kOk:
-          (*results)[index] = deserialize_metrics(payload);
-          break;
-        case RecordStatus::kConfigError:
-          (*errors)[index] = std::make_exception_ptr(ConfigError(payload));
-          break;
-        case RecordStatus::kInternalError:
-        case RecordStatus::kOtherError:
-        default:
-          (*errors)[index] = std::make_exception_ptr(InternalError(payload));
-          break;
-      }
-    }
-    ::close(child.fd);
-  }
-
-  bool died = false;
-  for (const Child& child : children) {
-    int wstatus = 0;
-    pid_t reaped;
-    do {
-      reaped = ::waitpid(child.pid, &wstatus, 0);
-    } while (reaped < 0 && errno == EINTR);
-    died = died || reaped < 0 || !WIFEXITED(wstatus) ||
-           WEXITSTATUS(wstatus) != 0;
-  }
-  // A worker that died mid-point leaves its remaining slice unreported;
-  // surface that ahead of per-point errors (the grid-order rethrow would
-  // otherwise silently return half-empty metrics for the missing points).
-  if (died || truncated) {
-    throw InternalError(
-        "sweep worker process died or its result stream was truncated");
-  }
-  for (std::size_t j = 0; j < todo.size(); ++j) {
-    CIMTPU_CHECK(received[todo[j]] == 1);
-  }
-}
-
-}  // namespace
-
-#endif  // CIMTPU_SWEEP_HAS_FORK
 
 std::vector<ServingMetrics> run_sweep(const std::vector<SweepPoint>& points,
                                       const SweepOptions& options) {
@@ -469,118 +96,46 @@ std::vector<ServingMetrics> run_sweep(const std::vector<SweepPoint>& points,
                                                    : &local_shared;
   }
 
-  // Result-memo pre-pass, shared by both drivers: resolve every
-  // memoizable point's signature up front, pull store hits, and collapse
-  // WITHIN-sweep duplicates onto their first (grid-order) occurrence —
-  // deterministic, unlike racing workers into the store.  Traced points
-  // (after force_trace_off) bypass: they exist for their event/sample
-  // output, which a metrics replay would skip.  signatures[i] empty =
-  // point i is not memoizable.
-  SharedSweepResultStore* memo = options.result_store;
-  std::vector<std::string> signatures(points.size());
-  std::vector<char> resolved(points.size(), 0);
-  std::vector<std::pair<std::size_t, std::size_t>> duplicates;  // (i, first)
-  if (memo != nullptr) {
-    std::unordered_map<std::string, std::size_t> first_occurrence;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const ServingScenario scenario = effective_scenario(points[i], options);
-      if (scenario_traced(scenario)) continue;
-      SweepPoint effective = points[i];
-      effective.scenario = scenario;
-      signatures[i] = sweep_point_signature(effective);
-      if (memo->try_get(signatures[i], &results[i])) {
-        resolved[i] = 1;
-        continue;
-      }
-      const auto [it, inserted] = first_occurrence.emplace(signatures[i], i);
-      if (!inserted) {
-        duplicates.emplace_back(i, it->second);
-        resolved[i] = 1;  // filled by copy after the first occurrence runs
-      }
-    }
-  }
-  std::vector<std::size_t> todo;
-  todo.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!resolved[i]) todo.push_back(i);
-  }
-
-  const int processes = resolve_sweep_processes(options.processes, todo.size());
-#ifdef CIMTPU_SWEEP_HAS_FORK
-  if (processes > 1 && !todo.empty()) {
-    run_sweep_forked(points, todo, options, processes, &results, &errors);
-  } else
-#else
-  // Non-POSIX: no fork — processes requests fall through to the thread
-  // driver (bit-identical metrics either way; SweepOptions documents the
-  // knob as POSIX-only).
-  (void)processes;
-#endif
-  {
-    // Work stealing over the unresolved points: each worker claims the
-    // next unclaimed index.  results[i] is written only by the worker
-    // that claimed i, so no synchronization beyond the claim counter is
-    // needed, and result order is the grid order by construction.
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-      for (;;) {
-        const std::size_t j = next.fetch_add(1);
-        if (j >= todo.size()) return;
-        const std::size_t i = todo[j];
-        try {
-          results[i] = run_point(points[i],
-                                 effective_scenario(points[i], options),
-                                 shared_costs);
-        } catch (const ConfigError& error) {
-          errors[i] = std::make_exception_ptr(
-              ConfigError(describe_point(points, i, error.what())));
-        } catch (const InternalError& error) {
-          errors[i] = std::make_exception_ptr(
-              InternalError(describe_point(points, i, error.what())));
-        } catch (...) {
-          errors[i] = std::current_exception();  // preserved as-is
-        }
-      }
-    };
-
-    const int threads = resolve_sweep_threads(options.threads, todo.size());
-    if (threads <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(threads));
+  // Work stealing: each worker claims the next unclaimed index.
+  // results[i] is written only by the worker that claimed i, so no
+  // synchronization beyond the claim counter is needed, and result order
+  // is the grid order by construction.
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= points.size()) return;
       try {
-        for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+        results[i] = run_point(points[i], shared_costs);
+      } catch (const ConfigError& error) {
+        errors[i] = std::make_exception_ptr(
+            ConfigError(describe_point(points, i, error.what())));
+      } catch (const InternalError& error) {
+        errors[i] = std::make_exception_ptr(
+            InternalError(describe_point(points, i, error.what())));
       } catch (...) {
-        // Thread spawn failed mid-pool (e.g. process thread limit): the
-        // already-started workers drain the whole grid via the claim
-        // counter, so join them — destroying a joinable thread would
-        // std::terminate — then surface the spawn failure.
-        for (std::thread& thread : pool) thread.join();
-        throw;
+        errors[i] = std::current_exception();  // preserved as-is
       }
-      for (std::thread& thread : pool) thread.join();
     }
-  }
+  };
 
-  // Fill within-sweep duplicates from their first occurrence (the pair
-  // shares one signature, so metrics are identical by determinism); a
-  // failed first occurrence propagates its error — the grid-order rethrow
-  // below surfaces the FIRST index either way.
-  for (const auto& [i, first] : duplicates) {
-    if (errors[first]) {
-      errors[i] = errors[first];
-    } else {
-      results[i] = results[first];
+  const int threads = resolve_sweep_threads(options.threads, points.size());
+  if (threads <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    try {
+      for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    } catch (...) {
+      // Thread spawn failed mid-pool (e.g. process thread limit): the
+      // already-started workers drain the whole grid via the claim
+      // counter, so join them — destroying a joinable thread would
+      // std::terminate — then surface the spawn failure.
+      for (std::thread& thread : pool) thread.join();
+      throw;
     }
-  }
-  // Store freshly-simulated memoizable results for later sweeps.
-  if (memo != nullptr) {
-    for (const std::size_t i : todo) {
-      if (!signatures[i].empty() && !errors[i]) {
-        memo->put(signatures[i], results[i]);
-      }
-    }
+    for (std::thread& thread : pool) thread.join();
   }
 
   // Surface failures deterministically: the first failing point in grid

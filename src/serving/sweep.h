@@ -3,17 +3,18 @@
 //
 // A sweep is a flat list of (scenario, request trace) points — typically
 // the cross product of arrival rate x model x chip count x eviction
-// policy x admission policy x KV block size x prefix caching — run on a
-// small worker pool.  Every point is an independent deterministic
+// policy x admission policy x KV block size x prefix caching — run
+// in-process on a small thread pool, each worker claiming the next
+// unclaimed point.  Every point is an independent deterministic
 // simulation, so parallel execution is embarrassingly safe; the driver
 // guarantees:
 //
 //   * DETERMINISTIC GRID ORDER — results[i] always corresponds to
 //     points[i], whatever order the workers finished in.
-//   * BIT-IDENTICAL METRICS — each point's ServingMetrics are identical to
-//     a serial (threads=1) run, including cost-cache hit/miss counters
-//     (StepCostCache counts against its run-local view; the shared store
-//     only avoids recomputation).  The only exceptions are the wall-clock
+//   * BIT-IDENTICAL METRICS — at any thread count, each point's
+//     ServingMetrics are identical to a serial (threads=1) run, including
+//     cost-cache hit/miss counters (StepCostCache counts against its
+//     run-local view; the shared store only avoids recomputation).  The only exceptions are the wall-clock
 //     fields sim_wall_seconds / steps_per_second.
 //
 // Points with the same (chip config, model, bucket) signature share one
@@ -23,77 +24,17 @@
 // std::thread::hardware_concurrency(), in that precedence order.
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "serving/serving_sim.h"
 
 namespace cimtpu::serving {
 
-struct SweepPoint;
-
-/// Canonical signature of one sweep point: every scenario / scheduler /
-/// fault / cluster field that can change simulated metrics, spelled out as
-/// a field-by-field string (round-trip float precision), plus a content
-/// hash of the request trace.  Two points with equal signatures simulate
-/// to bit-identical metrics (wall-clock fields aside) — the contract the
-/// sweep result memo rests on.  Anything that feeds the engine must land
-/// here; the trace config is deliberately EXCLUDED because traced points
-/// bypass the memo entirely (they exist for their file output).
-std::string sweep_point_signature(const SweepPoint& point);
-
-/// FNV-1a 64 over `signature` — the memo's bucket key.
-std::uint64_t sweep_signature_hash(const std::string& signature);
-
-/// Cross-sweep result memo, mirroring SharedStepCostCache one level up:
-/// where the cost cache deduplicates per-layer shapes WITHIN runs, this
-/// store deduplicates whole runs ACROSS sweeps.  Keyed on the signature's
-/// 64-bit hash with full-signature equality confirmation on every hit, so
-/// a hash collision can never serve the wrong point's metrics.
-/// Thread-safe; entries are immutable once stored (first writer wins —
-/// identical signatures produce identical metrics, so a racing duplicate
-/// put is harmless).  Off by default: attach one via
-/// SweepOptions::result_store.
-class SharedSweepResultStore {
- public:
-  /// Copies the memoized metrics for `signature` into `out` and returns
-  /// true, or returns false when absent.  Counts a hit or miss.
-  bool try_get(const std::string& signature, ServingMetrics* out);
-
-  /// Stores `metrics` under `signature` (no-op if already present).
-  void put(const std::string& signature, const ServingMetrics& metrics);
-
-  std::size_t size() const;
-  std::int64_t hits() const;
-  std::int64_t misses() const;
-
- private:
-  struct Entry {
-    std::string signature;  ///< full string: hash-collision confirmation
-    ServingMetrics metrics;
-  };
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, std::vector<Entry>> entries_;
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
-};
-
 struct SweepOptions {
   /// Worker threads.  <= 0: use CIMTPU_SWEEP_THREADS if set, else
   /// hardware_concurrency.  Clamped to the point count.
   int threads = 0;
-  /// Worker PROCESSES (POSIX only).  <= 0: use CIMTPU_SWEEP_PROCESSES if
-  /// set, else 1 (in-process — the default path).  > 1 forks that many
-  /// children, each simulating a round-robin slice of the grid serially
-  /// and streaming binary metrics (serving/metrics_codec.h) back over a
-  /// pipe; results land in grid order and are bit-identical to a serial
-  /// run (wall-clock fields aside).  Fork isolation means children cannot
-  /// share a step-cost cache or result memo with each other — each child
-  /// warms its own — so processes trade cache reuse for true parallelism;
-  /// `threads` is ignored on this path.  Clamped to the point count.
-  int processes = 0;
   /// Share computed step costs across points with the same cost signature.
   /// Never changes metrics, only wall-clock.
   bool share_cost_cache = true;
@@ -102,30 +43,10 @@ struct SweepOptions {
   /// nullptr -> one internal cache per run_sweep call.  Ignored when
   /// share_cost_cache is false.
   SharedStepCostCache* shared_cache = nullptr;
-  /// Force event tracing and time-series sampling OFF for every point,
-  /// whatever the scenarios say — the "sweeps stay fast" override for
-  /// grids built from a traced base scenario.  Metrics are bit-identical
-  /// either way (the tracing contract); this only saves event buffers and
-  /// file output.
-  bool force_trace_off = false;
-  /// Optional caller-owned whole-run result memo (must outlive run_sweep):
-  /// points whose canonical signature (sweep_point_signature) was already
-  /// simulated — in this sweep or an earlier one sharing the store — reuse
-  /// the stored ServingMetrics instead of re-simulating.  Deterministic
-  /// runs make the reused metrics bit-identical to a fresh simulation
-  /// (wall-clock fields carry the ORIGINAL run's timings — the same
-  /// exemption golden pins already grant).  Points that trace events or
-  /// sample time series (after force_trace_off) bypass the memo: they run
-  /// for their file output.  nullptr (default) = memoization off.
-  SharedSweepResultStore* result_store = nullptr;
 };
 
 /// Resolves the effective worker count (see SweepOptions::threads).
 int resolve_sweep_threads(int requested, std::size_t num_points);
-
-/// Resolves the effective process count (see SweepOptions::processes).
-/// Unlike threads, the default is 1 — multi-process fan-out is opt-in.
-int resolve_sweep_processes(int requested, std::size_t num_points);
 
 /// One sweep point: a deployment plus the (non-owning) trace it replays.
 /// The trace must outlive run_sweep; points may share traces.  `label`

@@ -375,18 +375,18 @@ TEST(DegradedSchedulerTest, DegradedModeCapsResidentBatch) {
   }
   scheduler.set_degraded(true, /*degraded_max_batch=*/2);
   EXPECT_TRUE(scheduler.degraded());
-  auto step = scheduler.next_step();
-  ASSERT_TRUE(step.has_value());
+  StepRecord step;
+  ASSERT_TRUE(scheduler.next_step(&step));
   EXPECT_LE(scheduler.running_count(), 2u);
-  for (int i = 0; i < 4 && scheduler.next_step(); ++i) {
+  for (int i = 0; i < 4 && scheduler.next_step(&step); ++i) {
     EXPECT_LE(scheduler.running_count(), 2u);
   }
   // Lifting degradation restores the configured batch.
   scheduler.set_degraded(false, 0);
-  while (scheduler.running_count() < 8 && scheduler.next_step()) {
+  while (scheduler.running_count() < 8 && scheduler.next_step(&step)) {
   }
   EXPECT_EQ(scheduler.running_count(), 8u);
-  while (scheduler.next_step()) {
+  while (scheduler.next_step(&step)) {
   }
   EXPECT_TRUE(kv.audit());
 }
@@ -403,8 +403,9 @@ TEST(ShedSwapTest, FaultRemovalOfSwappedRequestReleasesHostBytes) {
   scheduler.enqueue(make_request(0, 10, 12));
   scheduler.enqueue(make_request(1, 10, 12));
 
+  StepRecord step;
   while (scheduler.swapped_count() == 0) {
-    ASSERT_TRUE(scheduler.next_step().has_value()) << "no swap ever happened";
+    ASSERT_TRUE(scheduler.next_step(&step)) << "no swap ever happened";
   }
   const std::int64_t swapped_id = kv.swapped(0) ? 0 : 1;
   ASSERT_TRUE(kv.swapped(swapped_id));
@@ -427,8 +428,8 @@ TEST(ShedSwapTest, FaultRemovalOfSwappedRequestReleasesHostBytes) {
   // exactly once each from here.
   scheduler.requeue_after_fault(removed, progress.generated > 0);
   std::map<std::int64_t, std::int64_t> finish_count;
-  while (auto step = scheduler.next_step()) {
-    for (std::int64_t id : step->finished_ids) ++finish_count[id];
+  while (scheduler.next_step(&step)) {
+    for (std::int64_t id : step.finished_ids) ++finish_count[id];
     EXPECT_TRUE(kv.audit());
     EXPECT_TRUE(scheduler.aggregates_consistent());
   }

@@ -23,6 +23,7 @@
 #include "serving/sweep.h"
 #include "serving/trace.h"
 #include "serving/traffic_profiles.h"
+#include "serving_metrics_testing.h"
 
 namespace cimtpu::serving {
 namespace {
@@ -213,43 +214,6 @@ RequestStreamConfig golden_stream() {
   return stream;
 }
 
-/// EXPECT_EQ on every simulated field (doubles included: the claim is
-/// bit-identity, not closeness).  Wall-clock fields excluded by design.
-void expect_identical_metrics(const ServingMetrics& a,
-                              const ServingMetrics& b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-  EXPECT_EQ(a.prefill_steps, b.prefill_steps);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.counters.preemptions_recompute, b.counters.preemptions_recompute);
-  EXPECT_EQ(a.counters.preemptions_swap, b.counters.preemptions_swap);
-  EXPECT_EQ(a.counters.swap_ins, b.counters.swap_ins);
-  EXPECT_EQ(a.counters.swap_out_bytes, b.counters.swap_out_bytes);
-  EXPECT_EQ(a.counters.chunked_prefill_steps, b.counters.chunked_prefill_steps);
-  EXPECT_EQ(a.counters.prefix_hit_tokens, b.counters.prefix_hit_tokens);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.ttft.mean, b.ttft.mean);
-  EXPECT_EQ(a.ttft.p50, b.ttft.p50);
-  EXPECT_EQ(a.ttft.p99, b.ttft.p99);
-  EXPECT_EQ(a.tpot.p99, b.tpot.p99);
-  EXPECT_EQ(a.e2e.mean, b.e2e.mean);
-  EXPECT_EQ(a.e2e.p99, b.e2e.p99);
-  EXPECT_EQ(a.goodput_tokens_per_second, b.goodput_tokens_per_second);
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.energy_per_token, b.energy_per_token);
-  EXPECT_EQ(a.mxu_utilization, b.mxu_utilization);
-  EXPECT_EQ(a.jain_fairness, b.jain_fairness);
-  EXPECT_EQ(a.prefix_hit_rate, b.prefix_hit_rate);
-  EXPECT_EQ(a.kv_internal_fragmentation, b.kv_internal_fragmentation);
-  EXPECT_EQ(a.cost_cache_hits, b.cost_cache_hits);
-  EXPECT_EQ(a.cost_cache_misses, b.cost_cache_misses);
-  // The end-of-run registry is fed only by simulated state, so its whole
-  // JSON export must match byte for byte too.
-  EXPECT_EQ(a.registry.to_json(), b.registry.to_json());
-}
-
 TEST(TracingContract, MetricsBitIdenticalOnAndOffAcrossGoldenGrid) {
   const std::vector<Request> requests = generate_requests(golden_stream());
   for (EvictionPolicy policy :
@@ -266,10 +230,14 @@ TEST(TracingContract, MetricsBitIdenticalOnAndOffAcrossGoldenGrid) {
       ServingTrace trace;
       const ServingMetrics on =
           run_serving(traced, requests, nullptr, &trace);
-      expect_identical_metrics(off, on);
       EXPECT_FALSE(trace.events().empty());
       EXPECT_FALSE(on.timeseries.empty());
       EXPECT_TRUE(off.timeseries.empty());
+      // The samples are the one intended difference; every other field
+      // must match.
+      ServingMetrics on_unsampled = on;
+      on_unsampled.timeseries.clear();
+      expect_identical_metrics(off, on_unsampled);
     }
   }
 }
@@ -548,33 +516,6 @@ TEST(SweepTracing, TraceFilesByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(perfetto.find("\"process_name\""), std::string::npos);
   EXPECT_NE(perfetto.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(perfetto.find("\"ph\":\"C\""), std::string::npos);
-}
-
-TEST(SweepTracing, ForceTraceOffKeepsMetricsAndSkipsFiles) {
-  const std::vector<Request> requests = generate_requests(golden_stream());
-  ServingScenario traced = golden_scenario(EvictionPolicy::kPreemptNewest, 0);
-  traced.trace.enabled = true;
-  traced.trace.sample_interval = 1.0;
-  traced.trace.dir = "obs_test_traces_forced_off";
-  traced.trace.label = "should_not_exist";
-  SweepPoint point;
-  point.label = "forced-off";
-  point.scenario = traced;
-  point.requests = &requests;
-
-  SweepOptions options;
-  options.threads = 1;
-  options.force_trace_off = true;
-  const std::vector<ServingMetrics> forced = run_sweep({point}, options);
-  ASSERT_EQ(forced.size(), 1u);
-  EXPECT_TRUE(forced[0].timeseries.empty());
-  std::ifstream file(
-      "obs_test_traces_forced_off/should_not_exist.trace.json");
-  EXPECT_FALSE(file.good()) << "force_trace_off must suppress file output";
-  // And the metrics equal an untraced direct run, bit for bit.
-  ServingScenario off = traced;
-  off.trace = TraceConfig{};
-  expect_identical_metrics(run_serving(off, requests), forced[0]);
 }
 
 }  // namespace

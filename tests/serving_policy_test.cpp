@@ -225,31 +225,31 @@ TEST(ChunkedPrefillTest, SingleRequestHandTrace) {
   ContinuousBatchScheduler scheduler(config, &kv);
   scheduler.enqueue(make_request(0, 300, 3));
 
-  auto step1 = scheduler.next_step();
-  ASSERT_TRUE(step1.has_value());
-  EXPECT_EQ(step1->kind, StepRecord::Kind::kPrefill);
-  EXPECT_EQ(step1->chunk_lens, (std::vector<std::int64_t>{128}));
-  EXPECT_EQ(step1->prev_lens, (std::vector<std::int64_t>{0}));
-  EXPECT_EQ(step1->kv_lens, (std::vector<std::int64_t>{128}));
-  EXPECT_TRUE(step1->chunked);
-  EXPECT_TRUE(step1->first_token_ids.empty());  // prompt not done yet
+  StepRecord step1, step2, step3, step4, step5;
+  ASSERT_TRUE(scheduler.next_step(&step1));
+  EXPECT_EQ(step1.kind, StepRecord::Kind::kPrefill);
+  EXPECT_EQ(step1.chunk_lens, (std::vector<std::int64_t>{128}));
+  EXPECT_EQ(step1.prev_lens, (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(step1.kv_lens, (std::vector<std::int64_t>{128}));
+  EXPECT_TRUE(step1.chunked);
+  EXPECT_TRUE(step1.first_token_ids.empty());  // prompt not done yet
 
-  auto step2 = scheduler.next_step();
-  EXPECT_EQ(step2->prev_lens, (std::vector<std::int64_t>{128}));
-  EXPECT_EQ(step2->chunk_lens, (std::vector<std::int64_t>{128}));
+  ASSERT_TRUE(scheduler.next_step(&step2));
+  EXPECT_EQ(step2.prev_lens, (std::vector<std::int64_t>{128}));
+  EXPECT_EQ(step2.chunk_lens, (std::vector<std::int64_t>{128}));
 
-  auto step3 = scheduler.next_step();
-  EXPECT_EQ(step3->prev_lens, (std::vector<std::int64_t>{256}));
-  EXPECT_EQ(step3->chunk_lens, (std::vector<std::int64_t>{44}));
-  EXPECT_EQ(step3->kv_lens, (std::vector<std::int64_t>{300}));
-  EXPECT_EQ(step3->first_token_ids, (std::vector<std::int64_t>{0}));
+  ASSERT_TRUE(scheduler.next_step(&step3));
+  EXPECT_EQ(step3.prev_lens, (std::vector<std::int64_t>{256}));
+  EXPECT_EQ(step3.chunk_lens, (std::vector<std::int64_t>{44}));
+  EXPECT_EQ(step3.kv_lens, (std::vector<std::int64_t>{300}));
+  EXPECT_EQ(step3.first_token_ids, (std::vector<std::int64_t>{0}));
 
-  auto step4 = scheduler.next_step();
-  EXPECT_EQ(step4->kind, StepRecord::Kind::kDecode);
-  EXPECT_EQ(step4->kv_lens, (std::vector<std::int64_t>{301}));
-  auto step5 = scheduler.next_step();
-  EXPECT_EQ(step5->kv_lens, (std::vector<std::int64_t>{302}));
-  EXPECT_EQ(step5->finished_ids, (std::vector<std::int64_t>{0}));
+  ASSERT_TRUE(scheduler.next_step(&step4));
+  EXPECT_EQ(step4.kind, StepRecord::Kind::kDecode);
+  EXPECT_EQ(step4.kv_lens, (std::vector<std::int64_t>{301}));
+  ASSERT_TRUE(scheduler.next_step(&step5));
+  EXPECT_EQ(step5.kv_lens, (std::vector<std::int64_t>{302}));
+  EXPECT_EQ(step5.finished_ids, (std::vector<std::int64_t>{0}));
   EXPECT_TRUE(scheduler.idle());
   EXPECT_EQ(scheduler.counters().chunked_prefill_steps, 3);
   EXPECT_DOUBLE_EQ(kv.used(), 0.0);
@@ -268,9 +268,10 @@ TEST(ChunkedPrefillTest, InterleavesWithDecodeSteps) {
 
   std::vector<StepRecord::Kind> kinds;
   std::vector<std::int64_t> finished;
-  while (auto step = scheduler.next_step()) {
-    kinds.push_back(step->kind);
-    for (std::int64_t id : step->finished_ids) finished.push_back(id);
+  StepRecord step;
+  while (scheduler.next_step(&step)) {
+    kinds.push_back(step.kind);
+    for (std::int64_t id : step.finished_ids) finished.push_back(id);
   }
   // Step 1 prefills r0 whole (single 128-token chunk).  From then on,
   // while r0 decodes and r1 prefills, kinds alternate strictly.
@@ -292,12 +293,13 @@ TEST(ChunkedPrefillTest, BudgetAndPrefillBatchRespected) {
   for (std::int64_t id = 0; id < 12; ++id) {
     scheduler.enqueue(make_request(id, 100 + 37 * id, 4));
   }
-  while (auto step = scheduler.next_step()) {
-    if (step->kind != StepRecord::Kind::kPrefill) continue;
+  StepRecord step;
+  while (scheduler.next_step(&step)) {
+    if (step.kind != StepRecord::Kind::kPrefill) continue;
     std::int64_t chunk_total = 0;
-    for (std::int64_t chunk : step->chunk_lens) chunk_total += chunk;
+    for (std::int64_t chunk : step.chunk_lens) chunk_total += chunk;
     EXPECT_LE(chunk_total, 256);
-    EXPECT_LE(step->batch, 3);
+    EXPECT_LE(step.batch, 3);
   }
   EXPECT_TRUE(scheduler.idle());
 }
@@ -325,20 +327,21 @@ DriveResult drive_to_completion(const std::vector<Request>& requests,
   for (const Request& request : requests) scheduler.enqueue(request);
 
   DriveResult result;
-  while (auto step = scheduler.next_step()) {
+  StepRecord step;
+  while (scheduler.next_step(&step)) {
     ++result.steps;
-    if (step->kind == StepRecord::Kind::kPrefill) {
+    if (step.kind == StepRecord::Kind::kPrefill) {
       // StepRecord carries shapes, not participant ids, so conservation is
       // checked on the global chunk-token total (per-request completion is
       // covered by first_token/finish counts).
-      for (std::int64_t chunk : step->chunk_lens) {
+      for (std::int64_t chunk : step.chunk_lens) {
         result.total_prefill_tokens += chunk;
       }
     }
-    for (std::int64_t id : step->first_token_ids) {
+    for (std::int64_t id : step.first_token_ids) {
       ++result.first_token_count[id];
     }
-    for (std::int64_t id : step->finished_ids) ++result.finish_count[id];
+    for (std::int64_t id : step.finished_ids) ++result.finish_count[id];
     // --- Accounting invariants, every step -------------------------------
     EXPECT_TRUE(kv.audit());
     EXPECT_LE(kv.used(), kv.capacity() + 1e-9);
@@ -491,9 +494,10 @@ TEST(PolicyInvariantTest, PriorityVictimSparesHighPriority) {
   for (const Request& request : requests) scheduler.enqueue(request);
   std::vector<std::int64_t> preempted;
   std::map<std::int64_t, std::int64_t> finish_count;
-  while (auto step = scheduler.next_step()) {
-    for (std::int64_t id : step->preempted_ids) preempted.push_back(id);
-    for (std::int64_t id : step->finished_ids) ++finish_count[id];
+  StepRecord step;
+  while (scheduler.next_step(&step)) {
+    for (std::int64_t id : step.preempted_ids) preempted.push_back(id);
+    for (std::int64_t id : step.finished_ids) ++finish_count[id];
   }
   EXPECT_FALSE(preempted.empty());
   EXPECT_TRUE(std::find(preempted.begin(), preempted.end(), 3) ==
@@ -806,49 +810,51 @@ TEST(RequestGenTenantTest, AssignmentDecoupledFromArrivalsAndSkewed) {
   EXPECT_THROW(generate_requests(bad), ConfigError);
 }
 
-// --- next_step() convenience wrapper -----------------------------------------
+// --- StepRecord reuse ----------------------------------------------------------
 
-TEST(SchedulerWrapperTest, OptionalNextStepMatchesPointerPath) {
-  // The optional-returning wrapper must plan the IDENTICAL step sequence
-  // as the scratch-record path it wraps; drive two schedulers over a
-  // preemption-heavy swap workload in lockstep and compare every field.
+TEST(SchedulerRecordTest, ReusedRecordMatchesFreshRecordPerStep) {
+  // next_step clears the record it is handed, so a scratch record reused
+  // across steps must plan the IDENTICAL step sequence as a fresh record
+  // per step; drive two schedulers over a preemption-heavy swap workload
+  // in lockstep and compare every field.
   const auto requests = invariant_stream(31, 40);
   KvCacheManager kv_a(600.0, 1.0, EvictionPolicy::kSwapToHost);
   KvCacheManager kv_b(600.0, 1.0, EvictionPolicy::kSwapToHost);
   SchedulerConfig config;
   config.prefill_chunk_tokens = 128;
-  ContinuousBatchScheduler wrapper_path(config, &kv_a);
-  ContinuousBatchScheduler pointer_path(config, &kv_b);
+  ContinuousBatchScheduler fresh_path(config, &kv_a);
+  ContinuousBatchScheduler reuse_path(config, &kv_b);
   for (const Request& request : requests) {
-    wrapper_path.enqueue(request);
-    pointer_path.enqueue(request);
+    fresh_path.enqueue(request);
+    reuse_path.enqueue(request);
   }
   StepRecord scratch;
   std::int64_t steps = 0;
   for (;;) {
-    const std::optional<StepRecord> wrapped = wrapper_path.next_step();
-    const bool stepped = pointer_path.next_step(&scratch);
-    ASSERT_EQ(wrapped.has_value(), stepped) << "at step " << steps;
-    if (!wrapped.has_value()) break;
+    StepRecord fresh;
+    const bool fresh_stepped = fresh_path.next_step(&fresh);
+    const bool stepped = reuse_path.next_step(&scratch);
+    ASSERT_EQ(fresh_stepped, stepped) << "at step " << steps;
+    if (!fresh_stepped) break;
     ++steps;
-    EXPECT_EQ(wrapped->kind, scratch.kind);
-    EXPECT_EQ(wrapped->batch, scratch.batch);
-    EXPECT_EQ(wrapped->kv_lens, scratch.kv_lens);
-    EXPECT_EQ(wrapped->chunk_lens, scratch.chunk_lens);
-    EXPECT_EQ(wrapped->prev_lens, scratch.prev_lens);
-    EXPECT_EQ(wrapped->decode_groups, scratch.decode_groups);
-    EXPECT_EQ(wrapped->first_token_ids, scratch.first_token_ids);
-    EXPECT_EQ(wrapped->finished_ids, scratch.finished_ids);
-    EXPECT_EQ(wrapped->preempted_ids, scratch.preempted_ids);
-    EXPECT_EQ(wrapped->swapped_out_ids, scratch.swapped_out_ids);
-    EXPECT_EQ(wrapped->swapped_in_ids, scratch.swapped_in_ids);
-    EXPECT_DOUBLE_EQ(wrapped->swap_bytes, scratch.swap_bytes);
-    EXPECT_EQ(wrapped->chunked, scratch.chunked);
+    EXPECT_EQ(fresh.kind, scratch.kind);
+    EXPECT_EQ(fresh.batch, scratch.batch);
+    EXPECT_EQ(fresh.kv_lens, scratch.kv_lens);
+    EXPECT_EQ(fresh.chunk_lens, scratch.chunk_lens);
+    EXPECT_EQ(fresh.prev_lens, scratch.prev_lens);
+    EXPECT_EQ(fresh.decode_groups, scratch.decode_groups);
+    EXPECT_EQ(fresh.first_token_ids, scratch.first_token_ids);
+    EXPECT_EQ(fresh.finished_ids, scratch.finished_ids);
+    EXPECT_EQ(fresh.preempted_ids, scratch.preempted_ids);
+    EXPECT_EQ(fresh.swapped_out_ids, scratch.swapped_out_ids);
+    EXPECT_EQ(fresh.swapped_in_ids, scratch.swapped_in_ids);
+    EXPECT_DOUBLE_EQ(fresh.swap_bytes, scratch.swap_bytes);
+    EXPECT_EQ(fresh.chunked, scratch.chunked);
   }
   EXPECT_GT(steps, 0);
-  EXPECT_GT(wrapper_path.preemptions(), 0);  // the swap path was exercised
-  EXPECT_TRUE(wrapper_path.idle());
-  EXPECT_TRUE(pointer_path.idle());
+  EXPECT_GT(fresh_path.preemptions(), 0);  // the swap path was exercised
+  EXPECT_TRUE(fresh_path.idle());
+  EXPECT_TRUE(reuse_path.idle());
 }
 
 // --- Per-sequence attention costing ------------------------------------------

@@ -12,7 +12,8 @@
 //   * FixedBucketHistogram: observe(v, n) == n x observe(v).
 //   * Engine differential: tracing forces the per-step path, so a traced
 //     run is the reference for the untraced (fast-forwarded) one — every
-//     deterministic ServingMetrics byte and the registry JSON must match.
+//     deterministic ServingMetrics field, the registry JSON included, must
+//     match.
 
 #include <gtest/gtest.h>
 
@@ -24,11 +25,11 @@
 
 #include "serving/cluster.h"
 #include "serving/kv_cache_manager.h"
-#include "serving/metrics_codec.h"
 #include "serving/scheduler.h"
 #include "serving/serving_sim.h"
 #include "serving/stats.h"
 #include "serving/traffic_profiles.h"
+#include "serving_metrics_testing.h"
 
 namespace cimtpu::serving {
 namespace {
@@ -397,14 +398,6 @@ TEST(RepeatDecodeHistogramTest, RepeatEqualsIndividualObservations) {
 
 // --- Engine differential -----------------------------------------------------------
 
-/// serialize_metrics covers every ServingMetrics field; the two wall-clock
-/// fields are the only ones allowed to differ.
-std::string deterministic_bytes(ServingMetrics metrics) {
-  metrics.sim_wall_seconds = 0;
-  metrics.steps_per_second = 0;
-  return serialize_metrics(metrics);
-}
-
 void expect_fast_path_identical(const ServingScenario& scenario,
                                 const std::vector<Request>& requests) {
   ServingScenario traced = scenario;
@@ -414,12 +407,7 @@ void expect_fast_path_identical(const ServingScenario& scenario,
   untraced.trace.enabled = false;
   const ServingMetrics fast = run_serving(untraced, requests);
   EXPECT_GT(reference.decode_steps, 0);
-  EXPECT_EQ(reference.total_steps, fast.total_steps);
-  EXPECT_EQ(reference.makespan, fast.makespan);
-  EXPECT_EQ(reference.total_energy, fast.total_energy);
-  EXPECT_EQ(reference.registry.to_json(), fast.registry.to_json());
-  EXPECT_TRUE(deterministic_bytes(reference) == deterministic_bytes(fast))
-      << "some deterministic ServingMetrics field differs";
+  expect_identical_metrics(reference, fast);
 }
 
 constexpr ir::DType kInt8 = ir::DType::kInt8;
@@ -495,8 +483,8 @@ void expect_cluster_identical(ClusterConfig config,
   ASSERT_EQ(reference.replica_metrics.size(), fast.replica_metrics.size());
   for (std::size_t i = 0; i < fast.replica_metrics.size(); ++i) {
     SCOPED_TRACE("replica " + std::to_string(i));
-    EXPECT_TRUE(deterministic_bytes(reference.replica_metrics[i]) ==
-                deterministic_bytes(fast.replica_metrics[i]));
+    expect_identical_metrics(reference.replica_metrics[i],
+                             fast.replica_metrics[i]);
   }
   EXPECT_EQ(reference.completed, fast.completed);
   EXPECT_EQ(reference.makespan, fast.makespan);

@@ -1,325 +1,18 @@
-// Scale-out wall for the sweep driver: the multi-process (fork) fan-out
-// and the sweep-level result memo must both reproduce serial execution
-// bit for bit, the binary metrics codec that carries results across the
-// process boundary must round-trip exactly, and the worker-count
-// environment knobs must reject malformed values loudly instead of
-// silently falling back.
+// Hardened environment parsing for the sweep driver's worker-count knob:
+// a malformed CIMTPU_SWEEP_THREADS must be rejected loudly instead of
+// silently falling back to a default worker count.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "models/model_zoo.h"
-#include "serving/metrics_codec.h"
 #include "serving/sweep.h"
-#include "serving/traffic_profiles.h"
 
 namespace cimtpu::serving {
 namespace {
 
-/// Bit-identity assertion including the registry (its JSON export renders
-/// every counter/gauge/histogram at full round-trip precision, so one
-/// string compare covers the whole observability surface) and the
-/// time-series samples.  Wall-clock fields are the only exclusions.
-void expect_identical(const ServingMetrics& a, const ServingMetrics& b) {
-  EXPECT_EQ(a.chips, b.chips);
-  EXPECT_EQ(a.num_requests, b.num_requests);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-  EXPECT_EQ(a.prefill_steps, b.prefill_steps);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.sim_end_seconds, b.sim_end_seconds);
-  EXPECT_EQ(a.ttft.mean, b.ttft.mean);
-  EXPECT_EQ(a.tpot.p99, b.tpot.p99);
-  EXPECT_EQ(a.e2e.max, b.e2e.max);
-  EXPECT_EQ(a.goodput_tokens_per_second, b.goodput_tokens_per_second);
-  EXPECT_EQ(a.slo_met, b.slo_met);
-  EXPECT_EQ(a.slo_attainment, b.slo_attainment);
-  EXPECT_EQ(a.availability, b.availability);
-  EXPECT_EQ(a.jain_fairness, b.jain_fairness);
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.energy_per_token, b.energy_per_token);
-  EXPECT_EQ(a.mxu_utilization, b.mxu_utilization);
-  EXPECT_EQ(a.cost_cache_entries, b.cost_cache_entries);
-  EXPECT_EQ(a.cost_cache_hits, b.cost_cache_hits);
-  EXPECT_EQ(a.cost_cache_misses, b.cost_cache_misses);
-  EXPECT_EQ(a.registry.to_json(), b.registry.to_json());
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    EXPECT_EQ(a.tenants[i].tenant_id, b.tenants[i].tenant_id);
-    EXPECT_EQ(a.tenants[i].generated_tokens, b.tenants[i].generated_tokens);
-    EXPECT_EQ(a.tenants[i].goodput_tokens_per_second,
-              b.tenants[i].goodput_tokens_per_second);
-  }
-  EXPECT_EQ(time_samples_json(a.timeseries), time_samples_json(b.timeseries));
-}
-
-/// Small pressured grid (4 points): preemption and swap paths both
-/// execute, runs stay fast enough to repeat across drivers.
-ServingSweep small_pressured_grid() {
-  ServingSweep sweep;
-  sweep.arrival_rates = {30.0, 60.0};
-  sweep.models = {[] {
-    models::TransformerConfig model = models::llama2_7b();
-    model.dtype = ir::DType::kInt4;
-    return model;
-  }()};
-  sweep.chip_counts = {1};
-  sweep.policies = {EvictionPolicy::kPreemptNewest,
-                    EvictionPolicy::kSwapToHost};
-  sweep.base = llama7b_baseline_scenario(1, ir::DType::kInt4);
-  sweep.base.kv_budget_override =
-      KvCacheManager::token_bytes(sweep.base.model) * 600.0;
-  sweep.stream.seed = 11;
-  sweep.stream.num_requests = 50;
-  sweep.stream.prompt.kind = LengthDistribution::kUniform;
-  sweep.stream.prompt.min_len = 32;
-  sweep.stream.prompt.max_len = 256;
-  sweep.stream.output.kind = LengthDistribution::kUniform;
-  sweep.stream.output.min_len = 8;
-  sweep.stream.output.max_len = 64;
-  return sweep;
-}
-
-// --- Sweep-level result memoization ------------------------------------------
-
-TEST(SweepResultMemoTest, SecondSweepServedEntirelyFromStore) {
-  const ServingSweep sweep = small_pressured_grid();
-  SharedSweepResultStore store;
-  SweepOptions options;
-  options.threads = 2;
-  options.result_store = &store;
-  const auto cold = run_serving_sweep(sweep, options);
-  ASSERT_EQ(cold.size(), 4u);
-  EXPECT_EQ(store.size(), 4u);
-  EXPECT_EQ(store.hits(), 0);
-  EXPECT_EQ(store.misses(), 4);
-
-  const auto warm = run_serving_sweep(sweep, options);
-  EXPECT_EQ(store.size(), 4u);  // nothing re-simulated, nothing re-stored
-  EXPECT_EQ(store.hits(), 4);
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    expect_identical(cold[i].metrics, warm[i].metrics);
-  }
-}
-
-TEST(SweepResultMemoTest, MemoizedSweepMatchesMemoFreeSweep) {
-  const ServingSweep sweep = small_pressured_grid();
-  SharedSweepResultStore store;
-  SweepOptions memoized;
-  memoized.result_store = &store;
-  SweepOptions plain;  // default: memo off
-  const auto a = run_serving_sweep(sweep, memoized);
-  const auto b = run_serving_sweep(sweep, plain);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    expect_identical(a[i].metrics, b[i].metrics);
-  }
-}
-
-TEST(SweepResultMemoTest, WithinSweepDuplicatesCollapseToOneSimulation) {
-  const ServingSweep sweep = small_pressured_grid();
-  RequestStreamConfig stream = sweep.stream;
-  stream.arrival_rate = 30.0;
-  const auto requests = generate_requests(stream);
-  SweepPoint point;
-  point.scenario = sweep.base;
-  point.requests = &requests;
-
-  SharedSweepResultStore store;
-  SweepOptions options;
-  options.result_store = &store;
-  const auto results = run_sweep({point, point, point}, options);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(store.size(), 1u);  // one signature, simulated once
-  expect_identical(results[0], results[1]);
-  expect_identical(results[0], results[2]);
-}
-
-TEST(SweepResultMemoTest, SignatureSeparatesEveryConfigAxis) {
-  const ServingSweep sweep = small_pressured_grid();
-  RequestStreamConfig stream = sweep.stream;
-  stream.arrival_rate = 30.0;
-  const auto requests = generate_requests(stream);
-  SweepPoint base;
-  base.scenario = sweep.base;
-  base.requests = &requests;
-  const std::string base_sig = sweep_point_signature(base);
-
-  // Same config, same trace: identical signature (the memo's hit case).
-  SweepPoint same = base;
-  EXPECT_EQ(sweep_point_signature(same), base_sig);
-
-  // Any simulated knob separates.
-  SweepPoint chips = base;
-  chips.scenario.chips = 2;
-  EXPECT_NE(sweep_point_signature(chips), base_sig);
-  SweepPoint eviction = base;
-  eviction.scenario.eviction = EvictionPolicy::kSwapToHost;
-  EXPECT_NE(sweep_point_signature(eviction), base_sig);
-  SweepPoint admission = base;
-  admission.scenario.scheduler.admission.policy = "priority";
-  EXPECT_NE(sweep_point_signature(admission), base_sig);
-  SweepPoint fault = base;
-  fault.scenario.fault.enabled = true;
-  EXPECT_NE(sweep_point_signature(fault), base_sig);
-  SweepPoint cluster = base;
-  cluster.replicas = 2;
-  EXPECT_NE(sweep_point_signature(cluster), base_sig);
-
-  // Request CONTENT separates even at equal count: the signature hashes
-  // every field of every request, not the trace length.
-  auto nudged = requests;
-  nudged[7].output_len += 1;
-  SweepPoint content = base;
-  content.requests = &nudged;
-  EXPECT_NE(sweep_point_signature(content), base_sig);
-}
-
-TEST(SweepResultMemoTest, StoreConfirmsFullSignatureOnLookup) {
-  SharedSweepResultStore store;
-  ServingMetrics a;
-  a.total_steps = 111;
-  ServingMetrics b;
-  b.total_steps = 222;
-  store.put("signature-a", a);
-  store.put("signature-b", b);
-  EXPECT_EQ(store.size(), 2u);
-
-  ServingMetrics out;
-  ASSERT_TRUE(store.try_get("signature-a", &out));
-  EXPECT_EQ(out.total_steps, 111);
-  ASSERT_TRUE(store.try_get("signature-b", &out));
-  EXPECT_EQ(out.total_steps, 222);
-  EXPECT_FALSE(store.try_get("signature-c", &out));
-  EXPECT_EQ(store.hits(), 2);
-  EXPECT_EQ(store.misses(), 1);
-
-  // First writer wins: a duplicate put never overwrites.
-  ServingMetrics imposter;
-  imposter.total_steps = 999;
-  store.put("signature-a", imposter);
-  EXPECT_EQ(store.size(), 2u);
-  ASSERT_TRUE(store.try_get("signature-a", &out));
-  EXPECT_EQ(out.total_steps, 111);
-}
-
-// --- Binary metrics codec ----------------------------------------------------
-
-TEST(MetricsCodecTest, RoundTripOfARealRunIsExact) {
-  const ServingSweep sweep = small_pressured_grid();
-  RequestStreamConfig stream = sweep.stream;
-  stream.arrival_rate = 60.0;
-  const auto requests = generate_requests(stream);
-  ServingScenario scenario = sweep.base;
-  scenario.eviction = EvictionPolicy::kSwapToHost;
-  scenario.trace.sample_interval = 0.25;  // populate the timeseries too
-  const ServingMetrics original = run_serving(scenario, requests);
-  ASSERT_GT(original.total_steps, 0);
-  ASSERT_FALSE(original.timeseries.empty());
-  ASSERT_FALSE(original.registry.counters().empty());
-  ASSERT_FALSE(original.registry.histograms().empty());
-
-  const ServingMetrics decoded =
-      deserialize_metrics(serialize_metrics(original));
-  expect_identical(original, decoded);
-  // Wall-clock fields ride along verbatim (they are data here, not a
-  // measurement).
-  EXPECT_EQ(decoded.sim_wall_seconds, original.sim_wall_seconds);
-  EXPECT_EQ(decoded.steps_per_second, original.steps_per_second);
-}
-
-TEST(MetricsCodecTest, TruncatedBytesFailLoudly) {
-  ServingMetrics metrics;
-  std::string bytes = serialize_metrics(metrics);
-  bytes.resize(bytes.size() - 1);
-  EXPECT_THROW(deserialize_metrics(bytes), InternalError);
-  EXPECT_THROW(deserialize_metrics(serialize_metrics(metrics) + "x"),
-               InternalError);
-}
-
-// --- Multi-process fan-out ---------------------------------------------------
-
-TEST(SweepProcessesTest, ForkedSweepMatchesSerialAndThreaded) {
-  const ServingSweep sweep = small_pressured_grid();
-  SweepOptions serial;
-  serial.threads = 1;
-  SweepOptions threaded;
-  threaded.threads = 4;
-  SweepOptions forked;
-  forked.processes = 2;
-  SweepOptions forked_wide;  // more workers than points: clamped
-  forked_wide.processes = 64;
-  const auto a = run_serving_sweep(sweep, serial);
-  const auto b = run_serving_sweep(sweep, threaded);
-  const auto c = run_serving_sweep(sweep, forked);
-  const auto d = run_serving_sweep(sweep, forked_wide);
-  ASSERT_EQ(a.size(), 4u);
-  ASSERT_EQ(b.size(), 4u);
-  ASSERT_EQ(c.size(), 4u);
-  ASSERT_EQ(d.size(), 4u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    expect_identical(a[i].metrics, b[i].metrics);
-    expect_identical(a[i].metrics, c[i].metrics);
-    expect_identical(a[i].metrics, d[i].metrics);
-  }
-}
-
-TEST(SweepProcessesTest, PointFailureCrossesTheProcessBoundary) {
-  std::vector<Request> requests(1);
-  requests[0].id = 0;
-  requests[0].arrival_time = 0;
-  requests[0].prompt_len = 100;
-  requests[0].output_len = 4;
-  SweepPoint good;
-  good.scenario = llama7b_baseline_scenario(1, ir::DType::kInt4);
-  good.requests = &requests;
-  SweepPoint bad;
-  bad.label = "tiny-budget";
-  bad.scenario = llama7b_pressured_scenario(
-      1, ir::DType::kInt4, EvictionPolicy::kPreemptNewest, /*chunk_tokens=*/0,
-      /*kv_budget_tokens=*/10);
-  bad.requests = &requests;
-  SweepOptions options;
-  options.processes = 2;
-  try {
-    run_sweep({good, bad}, options);
-    FAIL() << "unservable point did not throw across the fork boundary";
-  } catch (const ConfigError& error) {
-    // Identical message shape to the in-process driver: point index plus
-    // label, so the driver choice never changes what a failure reports.
-    EXPECT_NE(std::string(error.what()).find("sweep point 1"),
-              std::string::npos)
-        << error.what();
-    EXPECT_NE(std::string(error.what()).find("tiny-budget"), std::string::npos)
-        << error.what();
-  }
-}
-
-TEST(SweepProcessesTest, ResolveExplicitThenEnvThenDefault) {
-  unsetenv("CIMTPU_SWEEP_PROCESSES");
-  EXPECT_EQ(resolve_sweep_processes(0, 100), 1);  // opt-in: default serial
-  EXPECT_EQ(resolve_sweep_processes(3, 100), 3);
-  EXPECT_EQ(resolve_sweep_processes(8, 2), 2);  // clamped to the point count
-  setenv("CIMTPU_SWEEP_PROCESSES", "5", /*overwrite=*/1);
-  EXPECT_EQ(resolve_sweep_processes(0, 100), 5);
-  EXPECT_EQ(resolve_sweep_processes(2, 100), 2);  // explicit beats env
-  setenv("CIMTPU_SWEEP_PROCESSES", "0", 1);
-  EXPECT_EQ(resolve_sweep_processes(0, 100), 1);  // 0 = unset
-  unsetenv("CIMTPU_SWEEP_PROCESSES");
-}
-
-// --- Hardened environment parsing --------------------------------------------
-
 TEST(SweepEnvTest, MalformedWorkerCountsRejectLoudly) {
-  const char* const kVars[] = {"CIMTPU_SWEEP_THREADS",
-                               "CIMTPU_SWEEP_PROCESSES"};
   const char* const kBad[] = {
       "abc",                   // non-numeric
       "12x",                   // trailing junk
@@ -328,30 +21,17 @@ TEST(SweepEnvTest, MalformedWorkerCountsRejectLoudly) {
       "99999999999999999999",  // overflows long
       "2147483648",            // overflows int
   };
-  for (const char* var : kVars) {
-    const bool is_threads = std::string(var) == "CIMTPU_SWEEP_THREADS";
-    for (const char* value : kBad) {
-      setenv(var, value, /*overwrite=*/1);
-      if (is_threads) {
-        EXPECT_THROW(resolve_sweep_threads(0, 10), ConfigError)
-            << var << "='" << value << "' was accepted";
-        // An explicit count never consults the env: no throw.
-        EXPECT_EQ(resolve_sweep_threads(4, 10), 4);
-      } else {
-        EXPECT_THROW(resolve_sweep_processes(0, 10), ConfigError)
-            << var << "='" << value << "' was accepted";
-        EXPECT_EQ(resolve_sweep_processes(4, 10), 4);
-      }
-    }
-    unsetenv(var);
+  for (const char* value : kBad) {
+    setenv("CIMTPU_SWEEP_THREADS", value, /*overwrite=*/1);
+    EXPECT_THROW(resolve_sweep_threads(0, 10), ConfigError)
+        << "CIMTPU_SWEEP_THREADS='" << value << "' was accepted";
+    // An explicit count never consults the env: no throw.
+    EXPECT_EQ(resolve_sweep_threads(4, 10), 4);
   }
-  // Valid values still parse on both knobs.
+  // Valid values still parse.
   setenv("CIMTPU_SWEEP_THREADS", "7", 1);
-  setenv("CIMTPU_SWEEP_PROCESSES", "3", 1);
   EXPECT_EQ(resolve_sweep_threads(0, 100), 7);
-  EXPECT_EQ(resolve_sweep_processes(0, 100), 3);
   unsetenv("CIMTPU_SWEEP_THREADS");
-  unsetenv("CIMTPU_SWEEP_PROCESSES");
 }
 
 }  // namespace

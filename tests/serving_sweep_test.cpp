@@ -16,53 +16,10 @@
 #include "models/model_zoo.h"
 #include "serving/sweep.h"
 #include "serving/traffic_profiles.h"
+#include "serving_metrics_testing.h"
 
 namespace cimtpu::serving {
 namespace {
-
-/// Asserts two runs produced EXACTLY the same simulated metrics (EXPECT_EQ
-/// on doubles, not NEAR: the claim is bit-identity).  The wall-clock
-/// fields sim_wall_seconds / steps_per_second are the only exclusions —
-/// they measure the host, not the simulation.
-void expect_identical(const ServingMetrics& a, const ServingMetrics& b) {
-  EXPECT_EQ(a.chips, b.chips);
-  EXPECT_EQ(a.num_requests, b.num_requests);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-  EXPECT_EQ(a.prefill_steps, b.prefill_steps);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.counters.preemptions_recompute, b.counters.preemptions_recompute);
-  EXPECT_EQ(a.counters.preemptions_swap, b.counters.preemptions_swap);
-  EXPECT_EQ(a.counters.swap_ins, b.counters.swap_ins);
-  EXPECT_EQ(a.counters.swap_out_bytes, b.counters.swap_out_bytes);
-  EXPECT_EQ(a.counters.swap_in_bytes, b.counters.swap_in_bytes);
-  EXPECT_EQ(a.counters.chunked_prefill_steps, b.counters.chunked_prefill_steps);
-  EXPECT_EQ(a.makespan, b.makespan);
-  const auto expect_summary = [](const LatencySummary& x,
-                                 const LatencySummary& y) {
-    EXPECT_EQ(x.count, y.count);
-    EXPECT_EQ(x.mean, y.mean);
-    EXPECT_EQ(x.p50, y.p50);
-    EXPECT_EQ(x.p95, y.p95);
-    EXPECT_EQ(x.p99, y.p99);
-    EXPECT_EQ(x.max, y.max);
-  };
-  expect_summary(a.ttft, b.ttft);
-  expect_summary(a.tpot, b.tpot);
-  expect_summary(a.e2e, b.e2e);
-  EXPECT_EQ(a.goodput_tokens_per_second, b.goodput_tokens_per_second);
-  EXPECT_EQ(a.mxu_energy, b.mxu_energy);
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.energy_per_token, b.energy_per_token);
-  EXPECT_EQ(a.mxu_utilization, b.mxu_utilization);
-  // Cache stats count against the run-LOCAL cache view, so they too are
-  // independent of sharing and threading.
-  EXPECT_EQ(a.cost_cache_entries, b.cost_cache_entries);
-  EXPECT_EQ(a.cost_cache_hits, b.cost_cache_hits);
-  EXPECT_EQ(a.cost_cache_misses, b.cost_cache_misses);
-}
 
 /// A 3 (rate) x 2 (chips) x 2 (policy) grid under genuine KV pressure so
 /// preemption, swap, and chunk paths all execute: uniform 32..256-token
@@ -110,7 +67,7 @@ TEST(SweepEquivalenceTest, ParallelMatchesSerialOn3x2x2Grid) {
     EXPECT_EQ(a[i].chips, b[i].chips);
     EXPECT_EQ(a[i].policy, b[i].policy);
     // ...and bit-identical metrics, workers be damned.
-    expect_identical(a[i].metrics, b[i].metrics);
+    expect_identical_metrics(a[i].metrics, b[i].metrics);
   }
   // Grid order is rate-major, policy-minor.
   EXPECT_EQ(a[0].arrival_rate, 30.0);
@@ -136,7 +93,7 @@ TEST(SweepEquivalenceTest, SharedCostCacheMatchesPerRunCache) {
   const auto b = run_serving_sweep(sweep, without_shared);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    expect_identical(a[i].metrics, b[i].metrics);
+    expect_identical_metrics(a[i].metrics, b[i].metrics);
   }
 }
 
@@ -153,7 +110,7 @@ TEST(SweepEquivalenceTest, SweepCellMatchesDirectRunServing) {
   scenario.chips = 2;
   scenario.eviction = EvictionPolicy::kSwapToHost;
   const ServingMetrics direct = run_serving(scenario, requests);
-  expect_identical(cells[7].metrics, direct);  // rate 60, chips 2, swap
+  expect_identical_metrics(cells[7].metrics, direct);  // rate 60, chips 2, swap
 }
 
 TEST(SweepEquivalenceTest, SharedCacheReusedAcrossSequentialRuns) {
@@ -173,7 +130,7 @@ TEST(SweepEquivalenceTest, SharedCacheReusedAcrossSequentialRuns) {
   // count against the run-local cache, not the shared one.
   const ServingMetrics warm = run_serving(scenario, requests, &shared);
   EXPECT_EQ(shared.total_entries(), entries_after_first);
-  expect_identical(cold, warm);
+  expect_identical_metrics(cold, warm);
 
   // A different model signature gets its own store.
   ServingScenario other = scenario;
@@ -233,7 +190,7 @@ TEST(SweepEquivalenceTest, CallerOwnedSharedCacheReusedAcrossSweeps) {
   EXPECT_GT(warm_entries, 0u);
   const auto second = run_sweep({point}, options);
   EXPECT_EQ(shared.total_entries(), warm_entries);
-  expect_identical(first[0], second[0]);
+  expect_identical_metrics(first[0], second[0]);
 }
 
 TEST(SweepThreadsTest, ExplicitThenEnvThenClamp) {

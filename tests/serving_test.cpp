@@ -231,30 +231,31 @@ TEST(SchedulerTest, ThreeRequestHandTrace) {
   scheduler.enqueue(make_request(1, 64, 3));
   scheduler.enqueue(make_request(2, 16, 5));
 
-  auto step1 = scheduler.next_step();
-  ASSERT_TRUE(step1.has_value());
-  EXPECT_EQ(step1->kind, StepRecord::Kind::kPrefill);
-  EXPECT_EQ(step1->batch, 3);
+  StepRecord step1;
+  ASSERT_TRUE(scheduler.next_step(&step1));
+  EXPECT_EQ(step1.kind, StepRecord::Kind::kPrefill);
+  EXPECT_EQ(step1.batch, 3);
   // Per-sequence shapes: whole prompts in one chunk (chunking disabled).
-  EXPECT_EQ(step1->chunk_lens, (std::vector<std::int64_t>{32, 64, 16}));
-  EXPECT_EQ(step1->prev_lens, (std::vector<std::int64_t>{0, 0, 0}));
-  EXPECT_EQ(step1->kv_lens, (std::vector<std::int64_t>{32, 64, 16}));
-  EXPECT_FALSE(step1->chunked);
-  EXPECT_EQ(step1->first_token_ids, (std::vector<std::int64_t>{0, 1, 2}));
-  EXPECT_EQ(step1->finished_ids, (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(step1.chunk_lens, (std::vector<std::int64_t>{32, 64, 16}));
+  EXPECT_EQ(step1.prev_lens, (std::vector<std::int64_t>{0, 0, 0}));
+  EXPECT_EQ(step1.kv_lens, (std::vector<std::int64_t>{32, 64, 16}));
+  EXPECT_FALSE(step1.chunked);
+  EXPECT_EQ(step1.first_token_ids, (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(step1.finished_ids, (std::vector<std::int64_t>{0}));
 
   std::vector<std::int64_t> decode_batches;
   std::vector<std::int64_t> finished;
   bool first_decode = true;
-  while (auto step = scheduler.next_step()) {
-    EXPECT_EQ(step->kind, StepRecord::Kind::kDecode);
+  StepRecord step;
+  while (scheduler.next_step(&step)) {
+    EXPECT_EQ(step.kind, StepRecord::Kind::kDecode);
     if (first_decode) {
       // Per-sequence KV lengths: prompt + tokens generated so far.
-      EXPECT_EQ(step->kv_lens, (std::vector<std::int64_t>{64 + 1, 16 + 1}));
+      EXPECT_EQ(step.kv_lens, (std::vector<std::int64_t>{64 + 1, 16 + 1}));
       first_decode = false;
     }
-    decode_batches.push_back(step->batch);
-    for (std::int64_t id : step->finished_ids) finished.push_back(id);
+    decode_batches.push_back(step.batch);
+    for (std::int64_t id : step.finished_ids) finished.push_back(id);
   }
   EXPECT_EQ(decode_batches, (std::vector<std::int64_t>{2, 2, 1, 1}));
   EXPECT_EQ(finished, (std::vector<std::int64_t>{1, 2}));
@@ -270,18 +271,19 @@ TEST(SchedulerTest, ContinuousAdmissionJoinsRunningBatch) {
   SchedulerConfig config;
   ContinuousBatchScheduler scheduler(config, &kv);
   scheduler.enqueue(make_request(0, 8, 10));
-  auto prefill0 = scheduler.next_step();
-  EXPECT_EQ(prefill0->kind, StepRecord::Kind::kPrefill);
-  auto decode0 = scheduler.next_step();
-  EXPECT_EQ(decode0->kind, StepRecord::Kind::kDecode);
-  EXPECT_EQ(decode0->batch, 1);
+  StepRecord prefill0, decode0, prefill1, decode1;
+  ASSERT_TRUE(scheduler.next_step(&prefill0));
+  EXPECT_EQ(prefill0.kind, StepRecord::Kind::kPrefill);
+  ASSERT_TRUE(scheduler.next_step(&decode0));
+  EXPECT_EQ(decode0.kind, StepRecord::Kind::kDecode);
+  EXPECT_EQ(decode0.batch, 1);
 
   scheduler.enqueue(make_request(1, 8, 10));
-  auto prefill1 = scheduler.next_step();  // prefill-priority
-  EXPECT_EQ(prefill1->kind, StepRecord::Kind::kPrefill);
-  auto decode1 = scheduler.next_step();
-  EXPECT_EQ(decode1->kind, StepRecord::Kind::kDecode);
-  EXPECT_EQ(decode1->batch, 2);  // r0 still running, r1 joined
+  ASSERT_TRUE(scheduler.next_step(&prefill1));  // prefill-priority
+  EXPECT_EQ(prefill1.kind, StepRecord::Kind::kPrefill);
+  ASSERT_TRUE(scheduler.next_step(&decode1));
+  EXPECT_EQ(decode1.kind, StepRecord::Kind::kDecode);
+  EXPECT_EQ(decode1.batch, 2);  // r0 still running, r1 joined
 }
 
 TEST(SchedulerTest, KvPressurePreemptsNewestAndRequeues) {
@@ -294,8 +296,9 @@ TEST(SchedulerTest, KvPressurePreemptsNewestAndRequeues) {
   scheduler.enqueue(make_request(0, 10, 12));
   scheduler.enqueue(make_request(1, 10, 12));
   std::vector<std::int64_t> finished;
-  while (auto step = scheduler.next_step()) {
-    for (std::int64_t id : step->finished_ids) finished.push_back(id);
+  StepRecord step;
+  while (scheduler.next_step(&step)) {
+    for (std::int64_t id : step.finished_ids) finished.push_back(id);
   }
   EXPECT_GT(scheduler.preemptions(), 0);
   EXPECT_EQ(finished, (std::vector<std::int64_t>{0, 1}));  // both complete
@@ -310,12 +313,14 @@ TEST(SchedulerTest, NonePolicyReservesWholeSequenceUpFront) {
   ContinuousBatchScheduler scheduler(config, &kv);
   scheduler.enqueue(make_request(0, 10, 10));  // reserves 20
   scheduler.enqueue(make_request(1, 10, 10));  // 40 > 30: blocks
-  auto prefill = scheduler.next_step();
-  EXPECT_EQ(prefill->batch, 1);
+  StepRecord prefill;
+  ASSERT_TRUE(scheduler.next_step(&prefill));
+  EXPECT_EQ(prefill.batch, 1);
   EXPECT_EQ(scheduler.waiting_count(), 1u);
   std::vector<std::int64_t> finished;
-  while (auto step = scheduler.next_step()) {
-    for (std::int64_t id : step->finished_ids) finished.push_back(id);
+  StepRecord step;
+  while (scheduler.next_step(&step)) {
+    for (std::int64_t id : step.finished_ids) finished.push_back(id);
   }
   EXPECT_EQ(scheduler.preemptions(), 0);
   EXPECT_EQ(finished, (std::vector<std::int64_t>{0, 1}));
