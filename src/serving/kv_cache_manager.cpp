@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/status.h"
 #include "serving/obs_registry.h"
@@ -79,48 +80,149 @@ Bytes KvCacheManager::token_bytes(const models::TransformerConfig& model) {
          static_cast<double>(model.num_layers);
 }
 
-void KvCacheManager::victim_index_insert(std::int64_t id, const Entry& entry) {
-  admit_order_[entry.admit_seq] = id;
+// --- Shared block store -------------------------------------------------------
+
+std::int32_t KvCacheManager::family_for(std::int64_t prefix_id) {
+  const auto [it, inserted] = family_of_prefix_.try_emplace(
+      prefix_id, static_cast<std::int32_t>(families_.size()));
+  if (inserted) families_.emplace_back();
+  return it->second;
 }
 
-void KvCacheManager::victim_index_erase(std::int64_t id, const Entry& entry) {
-  admit_order_.erase(entry.admit_seq);
-  (void)id;
+std::int32_t KvCacheManager::new_shared_block(std::int32_t family,
+                                              std::int32_t index) {
+  std::int32_t block_id;
+  if (!free_blocks_.empty()) {
+    block_id = free_blocks_.back();
+    free_blocks_.pop_back();
+  } else {
+    block_id = static_cast<std::int32_t>(blocks_.size());
+    blocks_.emplace_back();
+  }
+  SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
+  block = SharedBlock{};
+  block.ref = 1;
+  block.family = family;
+  block.index = index;
+  families_[static_cast<std::size_t>(family)]
+      .blocks[static_cast<std::size_t>(index)] = block_id;
+  return block_id;
+}
+
+void KvCacheManager::destroy_block(std::int32_t block_id) {
+  SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
+  families_[static_cast<std::size_t>(block.family)]
+      .blocks[static_cast<std::size_t>(block.index)] = -1;
+  block.family = -1;
+  free_blocks_.push_back(block_id);
+}
+
+void KvCacheManager::lru_append(std::int32_t block_id) {
+  SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
+  block.lru_prev = lru_newest_;
+  block.lru_next = -1;
+  if (lru_newest_ >= 0) {
+    blocks_[static_cast<std::size_t>(lru_newest_)].lru_next = block_id;
+  } else {
+    lru_oldest_ = block_id;
+  }
+  lru_newest_ = block_id;
+  ++cached_blocks_;
+}
+
+void KvCacheManager::lru_unlink(std::int32_t block_id) {
+  SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
+  if (block.lru_prev >= 0) {
+    blocks_[static_cast<std::size_t>(block.lru_prev)].lru_next =
+        block.lru_next;
+  } else {
+    lru_oldest_ = block.lru_next;
+  }
+  if (block.lru_next >= 0) {
+    blocks_[static_cast<std::size_t>(block.lru_next)].lru_prev =
+        block.lru_prev;
+  } else {
+    lru_newest_ = block.lru_prev;
+  }
+  block.lru_prev = block.lru_next = -1;
+  --cached_blocks_;
 }
 
 void KvCacheManager::reclaim_cached(std::int64_t blocks) {
   cached_blocks_reclaimed_total_ += blocks;
   for (std::int64_t i = 0; i < blocks; ++i) {
-    CIMTPU_CHECK(!cached_lru_.empty());
-    const auto oldest = cached_lru_.begin();
-    const std::int64_t block_id = oldest->second;
-    cached_lru_.erase(oldest);
-    const auto it = shared_blocks_.find(block_id);
-    CIMTPU_CHECK(it != shared_blocks_.end() && it->second.ref == 0);
-    prefix_index_.erase({it->second.prefix_id, it->second.block_index});
-    shared_blocks_.erase(it);
+    const std::int32_t block_id = lru_oldest_;
+    CIMTPU_CHECK(block_id >= 0);
+    lru_unlink(block_id);
+    destroy_block(block_id);
   }
 }
 
-std::int32_t KvCacheManager::slot_insert(std::int64_t request_id,
-                                         Entry&& entry) {
-  entry.id = request_id;
+void KvCacheManager::unref_shared(std::int32_t block_id) {
+  SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
+  CIMTPU_CHECK(block.ref >= 1);
+  if (--block.ref > 0) return;
+  if (block.computed) {
+    // Fully released but computed: stays cached (and hittable) until
+    // allocation pressure reclaims it, LRU order.
+    lru_append(block_id);
+  } else {
+    // The registrant died before prefilling it; the contents never
+    // existed, so the block (and its index entry) is useless.
+    destroy_block(block_id);
+  }
+}
+
+// --- Resident entry slots -----------------------------------------------------
+
+std::int32_t KvCacheManager::slot_insert(std::int64_t request_id) {
   std::int32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    entry_slots_[static_cast<std::size_t>(slot)] = std::move(entry);
   } else {
     slot = static_cast<std::int32_t>(entry_slots_.size());
-    entry_slots_.push_back(std::move(entry));
+    entry_slots_.emplace_back();
   }
-  entries_[request_id] = slot;
+  Entry& entry = slot_entry(slot);
+  std::vector<std::int32_t> shared = std::move(entry.shared);  // keep capacity
+  entry = Entry{};
+  entry.shared = std::move(shared);
+  entry.id = request_id;
+  entry.admit_seq = next_seq_++;
+  // Newest admission: append to the admission-order list.
+  entry.older = newest_slot_;
+  if (newest_slot_ >= 0) {
+    slot_entry(newest_slot_).newer = slot;
+  } else {
+    oldest_slot_ = slot;
+  }
+  newest_slot_ = slot;
+  if (spare_id_nodes_.empty()) {
+    entries_.emplace(request_id, slot);
+  } else {
+    IdMap::node_type node = std::move(spare_id_nodes_.back());
+    spare_id_nodes_.pop_back();
+    node.key() = request_id;
+    node.mapped() = slot;
+    entries_.insert(std::move(node));
+  }
   return slot;
 }
 
 void KvCacheManager::slot_erase(std::int32_t slot) {
   Entry& entry = slot_entry(slot);
-  entries_.erase(entry.id);
+  spare_id_nodes_.push_back(entries_.extract(entry.id));
+  if (entry.older >= 0) {
+    slot_entry(entry.older).newer = entry.newer;
+  } else {
+    oldest_slot_ = entry.newer;
+  }
+  if (entry.newer >= 0) {
+    slot_entry(entry.newer).older = entry.older;
+  } else {
+    newest_slot_ = entry.older;
+  }
   entry.id = -1;
   entry.shared.clear();
   free_slots_.push_back(slot);
@@ -132,23 +234,19 @@ std::int32_t KvCacheManager::resident_slot(std::int64_t request_id) const {
   return it->second;
 }
 
-void KvCacheManager::unref_shared(std::int64_t block_id) {
-  const auto it = shared_blocks_.find(block_id);
-  CIMTPU_CHECK(it != shared_blocks_.end() && it->second.ref >= 1);
-  SharedBlock& block = it->second;
-  if (--block.ref > 0) return;
-  if (block.computed) {
-    // Fully released but computed: stays cached (and hittable) until
-    // allocation pressure reclaims it, LRU order.
-    block.lru_seq = next_lru_seq_++;
-    cached_lru_[block.lru_seq] = block_id;
-  } else {
-    // The registrant died before prefilling it; the contents never
-    // existed, so the block (and its index entry) is useless.
-    prefix_index_.erase({block.prefix_id, block.block_index});
-    shared_blocks_.erase(it);
+void KvCacheManager::unmap_entry(std::int32_t slot) {
+  const Entry& entry = slot_entry(slot);
+  for (std::int32_t block_id : entry.shared) unref_shared(block_id);
+  private_used_ -= entry.private_blocks;
+  mapped_tokens_ -= entry.tokens;
+  entry_block_tokens_ -= entry_blocks(entry) * block_tokens_;
+  if (entry.family >= 0) {
+    PrefixFamily& family = families_[static_cast<std::size_t>(entry.family)];
+    if (family.tail_donor == slot) family.tail_donor = -1;
   }
 }
+
+// --- Lifecycle ----------------------------------------------------------------
 
 bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
                                std::int64_t priority, std::int64_t prefix_id,
@@ -164,7 +262,7 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
 
   const std::int64_t total_blocks = blocks_for_tokens(tokens);
 
-  // --- Plan the prefix reuse (no state mutated yet) --------------------------
+  // --- Plan the prefix reuse (no block state mutated yet) --------------------
   // Eligibility requires the reservation to cover the whole prompt (every
   // scheduler reserve does: prompt + 1 at minimum), so shared and
   // registered prefix blocks always lie within the entry's own mapping.
@@ -172,36 +270,39 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
                                !prefix_admission_paused_ && prefix_id >= 0 &&
                                prefix_len > 0 && prompt_len > 1 &&
                                tokens >= prompt_len;
-  std::vector<std::int64_t> hit_blocks;  // contiguous leading full blocks
+  std::int32_t family = -1;
+  std::int64_t full_blocks = 0;
+  std::int64_t hits = 0;  // contiguous leading full blocks reused
+  std::int64_t cached_hits = 0;
   std::int64_t hit_tokens = 0;
   std::int64_t cow_blocks = 0;
   if (prefix_eligible) {
-    const std::int64_t full_blocks = prefix_len / block_tokens_;
-    for (std::int64_t k = 0; k < full_blocks; ++k) {
-      const auto it = prefix_index_.find({prefix_id, k});
-      if (it == prefix_index_.end()) break;
-      const SharedBlock& block = shared_blocks_.at(it->second);
+    family = family_for(prefix_id);
+    const PrefixFamily& prefix = families_[static_cast<std::size_t>(family)];
+    full_blocks = prefix_len / block_tokens_;
+    CIMTPU_CHECK(full_blocks <= std::numeric_limits<std::int32_t>::max());
+    const std::int64_t indexed = std::min<std::int64_t>(
+        full_blocks, static_cast<std::int64_t>(prefix.blocks.size()));
+    for (; hits < indexed; ++hits) {
+      const std::int32_t block_id =
+          prefix.blocks[static_cast<std::size_t>(hits)];
+      if (block_id < 0) break;
+      const SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
       if (!block.computed) break;  // a concurrent request is still
                                    // prefilling it; contents don't exist yet
-      hit_blocks.push_back(it->second);
+      if (block.ref == 0) ++cached_hits;
     }
-    hit_tokens = static_cast<std::int64_t>(hit_blocks.size()) * block_tokens_;
+    hit_tokens = hits * block_tokens_;
     // Partial tail: prefix tokens past the last full block live inside a
     // block that also holds post-prefix content.  If a live donor with the
     // same prefix has computed through prefix_len, the sharer reuses those
     // tokens via a private COPY of the block (copy-on-write: the sharer's
     // own content diverges inside it).
-    if (static_cast<std::int64_t>(hit_blocks.size()) == full_blocks &&
-        prefix_len % block_tokens_ != 0) {
-      const auto donor = tail_donors_.find(prefix_id);
-      if (donor != tail_donors_.end()) {
-        const auto donor_it = entries_.find(donor->second);
-        if (donor_it != entries_.end() &&
-            slot_entry(donor_it->second).computed_tokens >= prefix_len) {
-          cow_blocks = 1;
-          hit_tokens = prefix_len;
-        }
-      }
+    if (hits == full_blocks && prefix_len % block_tokens_ != 0 &&
+        prefix.tail_donor >= 0 &&
+        slot_entry(prefix.tail_donor).computed_tokens >= prefix_len) {
+      cow_blocks = 1;
+      hit_tokens = prefix_len;
     }
     // The final prompt token is always recomputed (real engines need its
     // logits), so prefill can never be skipped entirely.  Its KV already
@@ -210,80 +311,69 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
   }
 
   // --- Capacity check (reclaim-aware), then commit ---------------------------
-  const std::int64_t shared_count =
-      static_cast<std::int64_t>(hit_blocks.size());
-  const std::int64_t new_blocks = total_blocks - shared_count;
+  const std::int64_t new_blocks = total_blocks - hits;
   CIMTPU_CHECK(new_blocks >= cow_blocks);
-  std::int64_t cached_among_hits = 0;
-  for (std::int64_t block_id : hit_blocks) {
-    if (shared_blocks_.at(block_id).ref == 0) ++cached_among_hits;
-  }
   const std::int64_t free_now = capacity_blocks_ - occupied_blocks();
-  const std::int64_t reclaimable = cached_block_count() - cached_among_hits;
+  const std::int64_t reclaimable = cached_blocks_ - cached_hits;
   if (new_blocks > free_now + reclaimable) return false;
 
-  // Reference the hit blocks first (pulls cached ones off the LRU so the
-  // reclaim below can never steal a block we are about to share).
-  for (std::int64_t block_id : hit_blocks) {
-    SharedBlock& block = shared_blocks_.at(block_id);
-    if (block.ref == 0) cached_lru_.erase(block.lru_seq);
-    ++block.ref;
-  }
-  if (new_blocks > free_now) reclaim_cached(new_blocks - free_now);
-
-  Entry entry;
+  const std::int32_t slot = slot_insert(request_id);
+  Entry& entry = slot_entry(slot);
   entry.tokens = tokens;
-  entry.admit_seq = next_seq_++;
   entry.priority = priority;
   entry.computed_tokens = hit_tokens;
-  entry.prefix_id = prefix_eligible ? prefix_id : -1;
-  entry.prefix_len = prefix_eligible ? prefix_len : 0;
-  entry.shared = hit_blocks;
+  entry.family = family;
+  entry.pending = static_cast<std::int32_t>(hits);
   entry.private_blocks = new_blocks;
   private_used_ += new_blocks;
   blocks_allocated_total_ += new_blocks;
+  if (prefix_eligible) {
+    // Reference the hit blocks first (pulls cached ones off the LRU so the
+    // reclaim below can never steal a block we are about to share).
+    const PrefixFamily& prefix = families_[static_cast<std::size_t>(family)];
+    for (std::int64_t k = 0; k < hits; ++k) {
+      const std::int32_t block_id = prefix.blocks[static_cast<std::size_t>(k)];
+      SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
+      if (block.ref == 0) lru_unlink(block_id);
+      ++block.ref;
+      entry.shared.push_back(block_id);
+    }
+  }
+  if (new_blocks > free_now) reclaim_cached(new_blocks - free_now);
 
   // --- Register missed full prefix blocks so later requests can share -------
   if (prefix_eligible) {
-    const std::int64_t full_blocks = prefix_len / block_tokens_;
-    for (std::int64_t k = shared_count; k < full_blocks; ++k) {
-      if (prefix_index_.count({prefix_id, k}) > 0) continue;  // a concurrent
-      // registrant got here first; our copy of the block stays private.
-      const std::int64_t block_id = next_block_id_++;
-      SharedBlock block;
-      block.ref = 1;
-      block.prefix_id = prefix_id;
-      block.block_index = k;
-      block.registrant = request_id;
-      // A registered block is always a MISS (k >= shared_count), so its
-      // contents cannot exist yet: note_prefilled flips it computed once
-      // this request's prefill passes the block's upper boundary.
-      block.computed = false;
-      shared_blocks_[block_id] = block;
-      prefix_index_[{prefix_id, k}] = block_id;
-      entry.shared.push_back(block_id);
+    PrefixFamily& prefix = families_[static_cast<std::size_t>(family)];
+    if (static_cast<std::int64_t>(prefix.blocks.size()) < full_blocks) {
+      prefix.blocks.resize(static_cast<std::size_t>(full_blocks), -1);
+    }
+    for (std::int64_t k = hits; k < full_blocks; ++k) {
+      // A concurrent registrant got here first; our copy stays private.
+      if (prefix.blocks[static_cast<std::size_t>(k)] >= 0) continue;
+      // A registered block is always a MISS, so its contents cannot exist
+      // yet: note_prefilled flips it computed once this request's prefill
+      // passes the block's upper boundary.
+      entry.shared.push_back(
+          new_shared_block(family, static_cast<std::int32_t>(k)));
       entry.private_blocks -= 1;
       private_used_ -= 1;
       CIMTPU_CHECK(entry.private_blocks >= 0);
     }
     // Volunteer as the partial-tail donor so later same-prefix admissions
     // can copy the tail's prefix tokens out of this entry's block.
-    if (prefix_len % block_tokens_ != 0 &&
-        tail_donors_.count(prefix_id) == 0) {
-      tail_donors_[prefix_id] = request_id;
+    if (prefix_len % block_tokens_ != 0 && prefix.tail_donor < 0) {
+      prefix.tail_donor = slot;
     }
   }
 
   mapped_tokens_ += entry.tokens;
   entry_block_tokens_ += entry_blocks(entry) * block_tokens_;
-  victim_index_insert(request_id, entry);
-  slot_insert(request_id, std::move(entry));
 
   if (outcome != nullptr) {
     outcome->lookup_tokens =
         prefix_eligible ? std::min(prefix_len, prompt_len - 1) : 0;
     outcome->prefix_hit_tokens = hit_tokens;
-    outcome->shared_blocks = shared_count;
+    outcome->shared_blocks = hits;
     outcome->cow_blocks = cow_blocks;
   }
   return true;
@@ -295,77 +385,58 @@ bool KvCacheManager::try_grow(std::int64_t request_id, std::int64_t tokens) {
   return try_grow_slot(it->second, tokens);
 }
 
-
 void KvCacheManager::release(std::int64_t request_id) {
-  auto it = entries_.find(request_id);
+  const auto it = entries_.find(request_id);
   CIMTPU_CHECK(it != entries_.end());
   const std::int32_t slot = it->second;
-  Entry& entry = slot_entry(slot);
-  for (std::int64_t block_id : entry.shared) unref_shared(block_id);
-  private_used_ -= entry.private_blocks;
-  mapped_tokens_ -= entry.tokens;
-  entry_block_tokens_ -= entry_blocks(entry) * block_tokens_;
-  const auto donor = tail_donors_.find(entry.prefix_id);
-  if (donor != tail_donors_.end() && donor->second == request_id) {
-    tail_donors_.erase(donor);
-  }
-  victim_index_erase(request_id, entry);
+  unmap_entry(slot);
   slot_erase(slot);
 }
 
 bool KvCacheManager::try_swap_out(std::int64_t request_id) {
-  auto it = entries_.find(request_id);
+  const auto it = entries_.find(request_id);
   CIMTPU_CHECK(it != entries_.end());
   const std::int32_t slot = it->second;
-  Entry& entry = slot_entry(slot);
+  const Entry& entry = slot_entry(slot);
   const std::int64_t blocks = entry_blocks(entry);
   if (host_used_blocks_ + blocks > host_capacity_blocks_) return false;
   // The host copy is whole and private: shared prefix blocks are
   // privatized on the way out (their device copies just lose a reference).
-  for (std::int64_t block_id : entry.shared) unref_shared(block_id);
-  private_used_ -= entry.private_blocks;
-  mapped_tokens_ -= entry.tokens;
-  entry_block_tokens_ -= blocks * block_tokens_;
-  const auto donor = tail_donors_.find(entry.prefix_id);
-  if (donor != tail_donors_.end() && donor->second == request_id) {
-    tail_donors_.erase(donor);
-  }
-  victim_index_erase(request_id, entry);
-
-  Entry host_entry = entry;
-  host_entry.shared.clear();
-  host_entry.private_blocks = blocks;
-  host_entry.prefix_id = -1;  // re-entry is private; no index participation
-  host_entry.prefix_len = 0;
+  host_entries_[request_id] =
+      HostEntry{entry.tokens, entry.priority, entry.computed_tokens};
   host_used_blocks_ += blocks;
-  host_entries_[request_id] = std::move(host_entry);
+  unmap_entry(slot);
   slot_erase(slot);
   return true;
 }
 
 bool KvCacheManager::try_swap_in(std::int64_t request_id) {
-  auto it = host_entries_.find(request_id);
+  const auto it = host_entries_.find(request_id);
   CIMTPU_CHECK(it != host_entries_.end());
-  const std::int64_t blocks = entry_blocks(it->second);
+  const HostEntry host = it->second;
+  const std::int64_t blocks = blocks_for_tokens(host.tokens);
   if (!fits_blocks(blocks)) return false;
   const std::int64_t free_now = capacity_blocks_ - occupied_blocks();
   if (blocks > free_now) reclaim_cached(blocks - free_now);
-  Entry entry = it->second;
-  entry.admit_seq = next_seq_++;  // re-entry: counts as the newest admission
+  // Re-entry counts as the newest admission, with private blocks only:
+  // the KV returns over PCIe, not through the prefix index.
+  Entry& entry = slot_entry(slot_insert(request_id));
+  entry.tokens = host.tokens;
+  entry.priority = host.priority;
+  entry.computed_tokens = host.computed_tokens;
+  entry.private_blocks = blocks;
   private_used_ += blocks;
   blocks_allocated_total_ += blocks;
   mapped_tokens_ += entry.tokens;
   entry_block_tokens_ += blocks * block_tokens_;
   host_used_blocks_ -= blocks;
-  victim_index_insert(request_id, entry);
-  slot_insert(request_id, std::move(entry));
   host_entries_.erase(it);
   return true;
 }
 
 void KvCacheManager::note_prefilled(std::int64_t request_id,
                                     std::int64_t computed_tokens) {
-  auto it = entries_.find(request_id);
+  const auto it = entries_.find(request_id);
   CIMTPU_CHECK(it != entries_.end());
   note_prefilled_slot(it->second, computed_tokens);
 }
@@ -375,16 +446,14 @@ void KvCacheManager::note_prefilled_slot(std::int32_t slot,
   Entry& entry = slot_entry(slot);
   entry.computed_tokens = std::min(
       std::max(entry.computed_tokens, computed_tokens), entry.tokens);
-  if (!enable_prefix_cache_ || entry.prefix_id < 0) return;
   // Blocks this entry registered become hittable once the prefill has
-  // passed their upper token boundary.
-  for (std::int64_t block_id : entry.shared) {
-    SharedBlock& block = shared_blocks_.at(block_id);
-    if (block.registrant == entry.id && !block.computed &&
-        (block.block_index + 1) * block_tokens_ <= entry.computed_tokens) {
-      block.computed = true;
-      block.registrant = -1;
-    }
+  // passed their upper token boundary; they wait in block-index order.
+  const std::int32_t registered = static_cast<std::int32_t>(entry.shared.size());
+  for (; entry.pending < registered; ++entry.pending) {
+    SharedBlock& block = blocks_[static_cast<std::size_t>(
+        entry.shared[static_cast<std::size_t>(entry.pending)])];
+    if ((block.index + 1) * block_tokens_ > entry.computed_tokens) break;
+    block.computed = true;
   }
 }
 
@@ -398,7 +467,7 @@ std::int64_t KvCacheManager::invalidate_blocks(std::int64_t request_id) {
   }
   const auto host_it = host_entries_.find(request_id);
   if (host_it != host_entries_.end()) {
-    const std::int64_t blocks = host_it->second.private_blocks;
+    const std::int64_t blocks = blocks_for_tokens(host_it->second.tokens);
     blocks_invalidated_total_ += blocks;
     host_used_blocks_ -= blocks;
     host_entries_.erase(host_it);
@@ -419,14 +488,11 @@ bool KvCacheManager::restore_from_host(std::int64_t request_id) {
 }
 
 std::int64_t KvCacheManager::drop_cached_blocks() {
-  const std::int64_t dropped = cached_block_count();
-  for (auto it = cached_lru_.begin(); it != cached_lru_.end();) {
-    const std::int64_t block_id = it->second;
-    const auto block = shared_blocks_.find(block_id);
-    CIMTPU_CHECK(block != shared_blocks_.end() && block->second.ref == 0);
-    prefix_index_.erase({block->second.prefix_id, block->second.block_index});
-    shared_blocks_.erase(block);
-    it = cached_lru_.erase(it);
+  const std::int64_t dropped = cached_blocks_;
+  while (lru_oldest_ >= 0) {
+    const std::int32_t block_id = lru_oldest_;
+    lru_unlink(block_id);
+    destroy_block(block_id);
   }
   blocks_invalidated_total_ += dropped;
   return dropped;
@@ -439,12 +505,12 @@ bool KvCacheManager::grow_needs_block(std::int64_t request_id) const {
 }
 
 std::int64_t KvCacheManager::resident_tokens(std::int64_t request_id) const {
-  auto it = entries_.find(request_id);
+  const auto it = entries_.find(request_id);
   return it == entries_.end() ? 0 : slot_entry(it->second).tokens;
 }
 
 std::int64_t KvCacheManager::swapped_tokens(std::int64_t request_id) const {
-  auto it = host_entries_.find(request_id);
+  const auto it = host_entries_.find(request_id);
   return it == host_entries_.end() ? 0 : it->second.tokens;
 }
 
@@ -460,10 +526,11 @@ std::int64_t KvCacheManager::pick_eviction_victim(std::int64_t protect) const {
   if (policy_ == EvictionPolicy::kNone) return -1;
   if (policy_ == EvictionPolicy::kPreemptNewest ||
       policy_ == EvictionPolicy::kSwapToHost) {
-    // Newest admission first; admit_seqs are unique, so the admit-order
-    // index gives the victim in O(log n) with at most one protect skip.
-    for (auto it = admit_order_.rbegin(); it != admit_order_.rend(); ++it) {
-      if (it->second != protect) return it->second;
+    // Newest admission first: the admission-order list's tail, with at
+    // most one protect skip.
+    for (std::int32_t slot = newest_slot_; slot >= 0;
+         slot = slot_entry(slot).older) {
+      if (slot_entry(slot).id != protect) return slot_entry(slot).id;
     }
     return -1;
   }
@@ -476,9 +543,10 @@ std::int64_t KvCacheManager::pick_eviction_victim(std::int64_t protect) const {
   if (eligible <= 0) return -1;
   std::int64_t exempt = -1;
   if (eligible >= 2) {  // a sole candidate stays evictable
-    for (auto it = admit_order_.begin(); it != admit_order_.end(); ++it) {
-      if (it->second != protect) {
-        exempt = it->second;
+    for (std::int32_t slot = oldest_slot_; slot >= 0;
+         slot = slot_entry(slot).newer) {
+      if (slot_entry(slot).id != protect) {
+        exempt = slot_entry(slot).id;
         break;
       }
     }
@@ -487,16 +555,18 @@ std::int64_t KvCacheManager::pick_eviction_victim(std::int64_t protect) const {
   // by max batch, so this beats keeping a sorted index current (which
   // would charge two tree updates to every decoded token).  The order is
   // a strict total order (id tie-break), so the minimum is unique and the
-  // unordered iteration order is immaterial.
+  // scan order is immaterial.
   std::int64_t best_id = -1;
   VictimKey best{};
-  for (const auto& [id, slot] : entries_) {
-    if (id == protect || id == exempt) continue;
+  for (std::int32_t slot = oldest_slot_; slot >= 0;
+       slot = slot_entry(slot).newer) {
     const Entry& entry = slot_entry(slot);
-    const VictimKey key{entry.priority, entry.tokens, entry.admit_seq, id};
+    if (entry.id == protect || entry.id == exempt) continue;
+    const VictimKey key{entry.priority, entry.tokens, entry.admit_seq,
+                        entry.id};
     if (best_id < 0 || key < best) {
       best = key;
-      best_id = id;
+      best_id = entry.id;
     }
   }
   return best_id;
@@ -513,84 +583,138 @@ bool KvCacheManager::audit() const {
       return false;
     }
   }
+  // --- Admission-order list: every resident once, admit_seq ascending -------
+  std::size_t listed = 0;
+  std::int32_t previous = -1;
+  for (std::int32_t slot = oldest_slot_; slot >= 0;
+       slot = slot_entry(slot).newer) {
+    if (static_cast<std::size_t>(slot) >= entry_slots_.size() ||
+        ++listed > entries_.size()) {
+      return false;
+    }
+    const Entry& entry = slot_entry(slot);
+    const auto indexed = entries_.find(entry.id);
+    if (entry.id < 0 || indexed == entries_.end() || indexed->second != slot ||
+        entry.older != previous ||
+        (previous >= 0 && slot_entry(previous).admit_seq >= entry.admit_seq)) {
+      return false;
+    }
+    previous = slot;
+  }
+  if (listed != entries_.size() || newest_slot_ != previous) return false;
   // --- Device entries: block math and rollups --------------------------------
   std::int64_t private_sum = 0;
   std::int64_t token_sum = 0;
   std::int64_t block_token_sum = 0;
-  std::unordered_map<std::int64_t, std::int64_t> ref_recount;
+  std::vector<std::int64_t> ref_recount(blocks_.size(), 0);
   for (const auto& [id, slot] : entries_) {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= entry_slots_.size()) {
-      return false;
-    }
     const Entry& entry = slot_entry(slot);
-    if (entry.id != id) return false;
     if (entry.tokens < 0 || entry.private_blocks < 0) return false;
     if (entry_blocks(entry) !=
         static_cast<std::int64_t>(entry.shared.size()) +
             entry.private_blocks) {
       return false;
     }
+    if (entry.family < -1 ||
+        entry.family >= static_cast<std::int32_t>(families_.size()) ||
+        (entry.family < 0 && !entry.shared.empty()) || entry.pending < 0 ||
+        entry.pending > static_cast<std::int32_t>(entry.shared.size())) {
+      return false;
+    }
     private_sum += entry.private_blocks;
     token_sum += entry.tokens;
     block_token_sum += entry_blocks(entry) * block_tokens_;
-    for (std::int64_t block_id : entry.shared) ++ref_recount[block_id];
+    for (std::size_t i = 0; i < entry.shared.size(); ++i) {
+      const std::int32_t block_id = entry.shared[i];
+      if (block_id < 0 ||
+          static_cast<std::size_t>(block_id) >= blocks_.size()) {
+        return false;
+      }
+      const SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
+      // Hits and finished registrations precede the pending ones.
+      if (block.family != entry.family ||
+          block.computed != (static_cast<std::int32_t>(i) < entry.pending)) {
+        return false;
+      }
+      ++ref_recount[static_cast<std::size_t>(block_id)];
+    }
   }
   if (private_sum != private_used_ || token_sum != mapped_tokens_ ||
       block_token_sum != entry_block_tokens_) {
     return false;
   }
-  // --- Shared registry: refcounts, cached set, index -------------------------
-  std::int64_t cached_recount = 0;
-  for (const auto& [block_id, block] : shared_blocks_) {
-    const auto counted = ref_recount.find(block_id);
-    const std::int64_t refs =
-        counted == ref_recount.end() ? 0 : counted->second;
-    if (block.ref != refs) return false;  // mapped blocks hold ref >= 1
-    if (block.ref == 0) {
-      if (!block.computed) return false;  // uncomputed orphans are destroyed
-      ++cached_recount;
-      const auto lru = cached_lru_.find(block.lru_seq);
-      if (lru == cached_lru_.end() || lru->second != block_id) return false;
+  // --- Block store: free list, refcounts, family index -----------------------
+  std::vector<bool> free(blocks_.size(), false);
+  for (std::int32_t block_id : free_blocks_) {
+    if (block_id < 0 || static_cast<std::size_t>(block_id) >= blocks_.size() ||
+        free[static_cast<std::size_t>(block_id)] ||
+        blocks_[static_cast<std::size_t>(block_id)].family != -1) {
+      return false;
     }
-    const auto indexed = prefix_index_.find({block.prefix_id,
-                                             block.block_index});
-    if (indexed == prefix_index_.end() || indexed->second != block_id) {
+    free[static_cast<std::size_t>(block_id)] = true;
+  }
+  std::int64_t live = 0;
+  std::int64_t unreferenced = 0;
+  for (std::size_t block_id = 0; block_id < blocks_.size(); ++block_id) {
+    if (free[block_id]) continue;
+    const SharedBlock& block = blocks_[block_id];
+    if (block.ref != ref_recount[block_id]) return false;
+    if (!block.computed && block.ref != 1) return false;  // only the
+                                                          // registrant maps it
+    if (block.ref == 0) ++unreferenced;
+    if (block.family < 0 ||
+        block.family >= static_cast<std::int32_t>(families_.size())) {
+      return false;
+    }
+    const std::vector<std::int32_t>& index =
+        families_[static_cast<std::size_t>(block.family)].blocks;
+    if (block.index < 0 || static_cast<std::size_t>(block.index) >= index.size() ||
+        index[static_cast<std::size_t>(block.index)] !=
+            static_cast<std::int32_t>(block_id)) {
+      return false;
+    }
+    ++live;
+  }
+  std::int64_t indexed = 0;
+  for (std::size_t f = 0; f < families_.size(); ++f) {
+    for (std::int32_t block_id : families_[f].blocks) {
+      if (block_id >= 0) ++indexed;
+    }
+    const std::int32_t donor = families_[f].tail_donor;
+    if (donor >= 0 &&
+        (static_cast<std::size_t>(donor) >= entry_slots_.size() ||
+         slot_entry(donor).id < 0 ||
+         slot_entry(donor).family != static_cast<std::int32_t>(f))) {
       return false;
     }
   }
-  for (const auto& counted : ref_recount) {
-    if (shared_blocks_.count(counted.first) == 0) return false;
+  if (indexed != live) return false;
+  // --- LRU list: exactly the unreferenced blocks, consistently linked --------
+  std::int64_t cached = 0;
+  previous = -1;
+  for (std::int32_t block_id = lru_oldest_; block_id >= 0;
+       block_id = blocks_[static_cast<std::size_t>(block_id)].lru_next) {
+    if (static_cast<std::size_t>(block_id) >= blocks_.size() ||
+        ++cached > unreferenced) {
+      return false;
+    }
+    const SharedBlock& block = blocks_[static_cast<std::size_t>(block_id)];
+    if (free[static_cast<std::size_t>(block_id)] || block.ref != 0 ||
+        block.lru_prev != previous) {
+      return false;
+    }
+    previous = block_id;
   }
-  if (cached_recount != cached_block_count() ||
-      prefix_index_.size() != shared_blocks_.size()) {
+  if (cached != unreferenced || cached != cached_blocks_ ||
+      lru_newest_ != previous) {
     return false;
   }
   if (occupied_blocks() > capacity_blocks_) return false;
-  // --- Victim indices --------------------------------------------------------
-  if (admit_order_.size() != entries_.size()) return false;
-  for (const auto& [seq, id] : admit_order_) {
-    const auto entry = entries_.find(id);
-    if (entry == entries_.end() ||
-        slot_entry(entry->second).admit_seq != seq) {
-      return false;
-    }
-  }
-  for (const auto& [prefix_id, donor] : tail_donors_) {
-    const auto entry = entries_.find(donor);
-    if (entry == entries_.end() ||
-        slot_entry(entry->second).prefix_id != prefix_id) {
-      return false;
-    }
-  }
   // --- Host pool -------------------------------------------------------------
   std::int64_t host_sum = 0;
   for (const auto& [id, entry] : host_entries_) {
     if (entry.tokens < 0) return false;
-    if (entry.private_blocks != entry_blocks(entry) ||
-        !entry.shared.empty()) {
-      return false;  // host copies are whole and private
-    }
-    host_sum += entry.private_blocks;
+    host_sum += blocks_for_tokens(entry.tokens);
   }
   return host_sum == host_used_blocks_ &&
          host_used_blocks_ <= host_capacity_blocks_;

@@ -17,31 +17,41 @@
 //     block_tokens = 1 the accounting reduces exactly to the historical
 //     contiguous per-token model (the compatibility contract the golden
 //     pins run under).
-//   * REF-COUNTED PREFIX CACHING (opt-in) — a prefix index keyed on
-//     (prefix id, block index) maps the FULL blocks of a shared prompt
-//     prefix to one physical block; requests with the same prefix map the
-//     same blocks (refcount++) and skip prefilling the covered tokens.
-//     Released prefix blocks stay CACHED (refcount 0, still occupying
-//     capacity, still hittable) until allocation pressure reclaims them
-//     in LRU order.  A shared partial TAIL block (prefix_len not a block
-//     multiple) is served copy-on-write: the prefix tokens are reused but
-//     the divergence point is inside the block, so the sharer gets a
-//     private copy.  The copy is made at admission — divergence is
+//   * REF-COUNTED PREFIX CACHING (opt-in) — the FULL blocks of a shared
+//     prompt prefix map to one physical block each; requests with the same
+//     prefix map the same blocks (refcount++) and skip prefilling the
+//     covered tokens.  Released prefix blocks stay CACHED (refcount 0,
+//     still occupying capacity, still hittable) until allocation pressure
+//     reclaims them in LRU order.  A shared partial TAIL block (prefix_len
+//     not a block multiple) is served copy-on-write: the prefix tokens are
+//     reused but the divergence point is inside the block, so the sharer
+//     gets a private copy.  The copy is made at admission — divergence is
 //     certain (every request appends at least one token past the prefix)
 //     — which is observationally identical to copying lazily at the first
 //     divergent write.
 //
+// Storage is flat so the admission and release paths stay cheap at 16-token
+// blocks, where one 1000-token prefix spans 62 blocks:
+//   * shared blocks live in one dense array with a free list; a block id
+//     is its index and is recycled once the block is reclaimed;
+//   * each prefix FAMILY (one prefix id) owns a vector mapping block index
+//     k to its block id, so a lookup is one hash of the prefix id and then
+//     a walk over contiguous memory;
+//   * cached blocks sit on an intrusive LRU list threaded through the
+//     block array, appended when their last reference goes; reclaim pops
+//     the head, so the order is exactly least-recently-released first;
+//   * resident entries live in a dense slot array, threaded in admission
+//     order by an intrusive list (the preemption victim order).
+// Entry, block and id-map storage is recycled, so once warm, admission,
+// release and decode growth never touch the heap.
+//
 // The manager gates admission, implements the eviction side of every
 // preemption policy (recompute victims drop their blocks outright, swap
 // victims move them to a modeled host pool and restore them later over
-// PCIe), and keeps incremental victim-order indices so
-// `pick_eviction_victim` never rescans the resident set.  It is pure
-// bookkeeping — deterministic and allocation-cheap — so million-request
-// streams stay fast.
+// PCIe), and is pure bookkeeping — deterministic, so million-request
+// streams stay fast and reproducible.
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -217,19 +227,11 @@ class KvCacheManager {
   }
 
   /// try_grow by slot — identical semantics and accounting.  Defined
-  /// in-class so the decode hot loop (one grow per decoder per step — the
-  /// most-called mutation in the simulator) inlines it instead of paying a
-  /// cross-TU call.
+  /// in-class so the exact decode path inlines it.
   bool try_grow_slot(std::int32_t slot, std::int64_t tokens = 1) {
     CIMTPU_CHECK(tokens >= 0);
     Entry& entry = entry_slots_[static_cast<std::size_t>(slot)];
-    // At block size 1 every token is its own block, so the rounded-block
-    // delta is just `tokens` — the common configuration skips both
-    // ceil-divisions.
-    const std::int64_t new_blocks =
-        block_tokens_ == 1
-            ? tokens
-            : blocks_for_tokens(entry.tokens + tokens) - entry_blocks(entry);
+    const std::int64_t new_blocks = blocks_to_grow(entry, tokens);
     if (new_blocks > 0) {
       if (!fits_blocks(new_blocks)) return false;
       const std::int64_t free_now = capacity_blocks_ - occupied_blocks();
@@ -262,35 +264,38 @@ class KvCacheManager {
   std::int64_t pick_eviction_victim(std::int64_t protect) const;
 
   // --- Bulk decode growth (hot path) -----------------------------------------
-  // A decode step grows every continuing decoder by one token.  At block
-  // size 1 each grow allocates exactly one block, so when the device has
-  // room for `grows` more blocks outright (no reclaim, no failure), the
-  // per-grow capacity checks and global accounting collapse: the caller
-  // applies grow_slot_unit_nocheck per entry and one commit_bulk_growth
-  // for the step.  Releases interleaved by the caller only free blocks, so
-  // the precheck is conservative and the final state is bit-identical to
-  // `grows` individual try_grow_slot(slot, 1) calls.
+  // A decode step grows every continuing decoder by one token, and the
+  // scheduler knows exactly how many of those grows cross a block boundary
+  // (its pending-growth count).  When the device has free room for that
+  // many blocks outright, no grow can fail and none needs to reclaim a
+  // cached prefix block, so the per-grow capacity checks and global
+  // accounting collapse: the caller applies grow_slot_nocheck per decoder
+  // and one commit_bulk_growth for the step.  Releases interleaved by the
+  // caller only free blocks, so the precheck stays valid all step, and the
+  // final state is bit-identical to the same try_grow_slot calls.
 
-  /// True when `grows` single-block grows are guaranteed to succeed
-  /// without reclaiming cached prefix blocks.
-  bool can_bulk_grow(std::int64_t grows) const {
-    return block_tokens_ == 1 &&
-           referenced_blocks() + grows <= capacity_blocks_ &&
-           occupied_blocks() + grows <= capacity_blocks_;
+  /// True when `blocks` more blocks fit in free capacity, without
+  /// reclaiming cached prefix blocks.
+  bool can_bulk_grow(std::int64_t blocks) const {
+    return occupied_blocks() + blocks <= capacity_blocks_;
   }
-  /// `grows` one-token, one-block grows of `slot` with all capacity checks
-  /// and global rollups hoisted to can_bulk_grow / commit_bulk_growth.
-  void grow_slot_unit_nocheck(std::int32_t slot, std::int64_t grows = 1) {
+  /// Grows `slot` by `tokens` with the capacity check and the global
+  /// rollups left to can_bulk_grow / commit_bulk_growth.  Returns the
+  /// blocks the growth crossed into (at block size 1: `tokens`).
+  std::int64_t grow_slot_nocheck(std::int32_t slot, std::int64_t tokens = 1) {
     Entry& entry = entry_slots_[static_cast<std::size_t>(slot)];
-    entry.tokens += grows;
-    entry.private_blocks += grows;
+    const std::int64_t blocks = blocks_to_grow(entry, tokens);
+    entry.tokens += tokens;
+    entry.private_blocks += blocks;
+    return blocks;
   }
-  /// Applies the global accounting for `grows` unit grows in one shot.
-  void commit_bulk_growth(std::int64_t grows) {
-    private_used_ += grows;
-    blocks_allocated_total_ += grows;
-    entry_block_tokens_ += grows * block_tokens_;
-    mapped_tokens_ += grows;
+  /// Books the global accounting of a batch of grow_slot_nocheck calls
+  /// that grew `tokens` tokens into `blocks` new blocks in total.
+  void commit_bulk_growth(std::int64_t tokens, std::int64_t blocks) {
+    private_used_ += blocks;
+    blocks_allocated_total_ += blocks;
+    entry_block_tokens_ += blocks * block_tokens_;
+    mapped_tokens_ += tokens;
   }
 
   bool resident(std::int64_t request_id) const {
@@ -315,12 +320,11 @@ class KvCacheManager {
   std::int64_t host_capacity_blocks() const { return host_capacity_blocks_; }
   /// Physical blocks in use, INCLUDING cached (refcount-0) prefix blocks.
   std::int64_t occupied_blocks() const {
-    return private_used_ + static_cast<std::int64_t>(shared_blocks_.size());
+    return private_used_ + static_cast<std::int64_t>(blocks_.size()) -
+           static_cast<std::int64_t>(free_blocks_.size());
   }
   /// Cached prefix blocks: refcount 0, reclaimable on demand.
-  std::int64_t cached_block_count() const {
-    return static_cast<std::int64_t>(cached_lru_.size());
-  }
+  std::int64_t cached_block_count() const { return cached_blocks_; }
   /// Blocks some resident request currently references.
   std::int64_t referenced_blocks() const {
     return occupied_blocks() - cached_block_count();
@@ -371,35 +375,58 @@ class KvCacheManager {
   EvictionPolicy policy() const { return policy_; }
 
   /// Accounting invariant for tests: per-entry block counts match their
-  /// token counts, refcounts match a full recount (and are >= 1 for every
-  /// mapped shared block), cached blocks are exactly the computed
-  /// refcount-0 ones, the prefix index and victim-order indices are
-  /// consistent, and device/host occupancy never exceeds capacity.
+  /// token counts and the rollups; refcounts match a full recount (>= 1
+  /// for every mapped block, exactly 1 while uncomputed); the LRU list
+  /// holds exactly the refcount-0 blocks, all computed, with consistent
+  /// links; the free list and the family index partition the block array;
+  /// the admission-order list and the tail donors are consistent; and
+  /// device/host occupancy never exceeds capacity.
   bool audit() const;
 
  private:
   struct Entry {
     // Field order is deliberate: the decode hot loop touches `tokens` and
-    // `private_blocks` once per decoder per step (try_grow_slot), so they
-    // share the entry's first cache line with `id`.
-    std::int64_t id = -1;         ///< owning request (slot back-reference)
+    // `private_blocks` once per decoder per step, so they share the
+    // entry's first cache line with `id`.
+    std::int64_t id = -1;         ///< owning request; -1 = free slot
     std::int64_t tokens = 0;      ///< KV tokens mapped (reserved)
     std::int64_t private_blocks = 0;   ///< blocks owned by this entry alone
     std::int64_t admit_seq = 0;   ///< admission order for eviction policy
     std::int64_t priority = 0;    ///< larger = more important
     std::int64_t computed_tokens = 0;  ///< leading prompt tokens prefilled
-    std::int64_t prefix_id = -1;
-    std::int64_t prefix_len = 0;
-    std::vector<std::int64_t> shared;  ///< leading shared physical block ids
+    std::int32_t family = -1;     ///< prefix family index; -1 = untagged
+    /// shared[pending..] are the blocks this entry registered whose
+    /// contents its prefill has not computed yet, in block-index order.
+    std::int32_t pending = 0;
+    std::int32_t older = -1;  ///< admission-order list: previous slot
+    std::int32_t newer = -1;  ///< admission-order list: next slot
+    /// Shared block ids: the hits (leading blocks), then the blocks this
+    /// entry registered.  Capacity is kept when the slot is recycled.
+    std::vector<std::int32_t> shared;
+  };
+
+  /// A swapped-out request: its KV is one whole, private host copy.
+  struct HostEntry {
+    std::int64_t tokens = 0;
+    std::int64_t priority = 0;
+    std::int64_t computed_tokens = 0;
   };
 
   struct SharedBlock {
     std::int64_t ref = 0;
-    std::int64_t prefix_id = -1;
-    std::int64_t block_index = 0;  ///< k: covers tokens [k*B, (k+1)*B)
-    std::int64_t registrant = -1;  ///< entry whose prefill computes it
-    bool computed = false;         ///< contents exist (hittable)
-    std::int64_t lru_seq = -1;     ///< reclaim order while cached (ref 0)
+    std::int32_t family = -1;  ///< owning prefix family; -1 = free
+    std::int32_t index = 0;    ///< k: covers tokens [k*B, (k+1)*B)
+    std::int32_t lru_prev = -1;  ///< LRU links, valid while cached
+    std::int32_t lru_next = -1;
+    bool computed = false;       ///< contents exist (hittable)
+  };
+
+  /// The blocks of one prefix id.  Families are few and never freed, so
+  /// their vectors stop allocating once every block index was seen.
+  struct PrefixFamily {
+    std::vector<std::int32_t> blocks;  ///< block index -> block id, -1 none
+    std::int32_t tail_donor = -1;  ///< slot of the live entry whose block
+                                   ///< holds the partial tail's tokens
   };
 
   /// Victim preference under kPriorityVictim: lowest priority first, then
@@ -421,17 +448,48 @@ class KvCacheManager {
     }
   };
 
+  using IdMap = std::unordered_map<std::int64_t, std::int32_t>;
+
   std::int64_t entry_blocks(const Entry& entry) const {
     return blocks_for_tokens(entry.tokens);
   }
-  void victim_index_insert(std::int64_t id, const Entry& entry);
-  void victim_index_erase(std::int64_t id, const Entry& entry);
-  /// Reclaims `blocks` cached prefix blocks, oldest first.  The caller
-  /// must have checked fits_blocks; reclaimed blocks leave the index.
+  /// New blocks a `tokens`-token growth of `entry` crosses into.  At block
+  /// size 1 every token is its own block, so the common configuration
+  /// skips both ceil-divisions.
+  std::int64_t blocks_to_grow(const Entry& entry, std::int64_t tokens) const {
+    return block_tokens_ == 1
+               ? tokens
+               : blocks_for_tokens(entry.tokens + tokens) - entry_blocks(entry);
+  }
+  /// Reclaims `blocks` cached prefix blocks, least recently released
+  /// first.  The caller must have checked fits_blocks.
   void reclaim_cached(std::int64_t blocks);
   /// Drops one reference on a shared block; a computed block that reaches
   /// refcount 0 becomes cached, an uncomputed one is destroyed.
-  void unref_shared(std::int64_t block_id);
+  void unref_shared(std::int32_t block_id);
+  /// Index of `prefix_id`'s family, created on first use.
+  std::int32_t family_for(std::int64_t prefix_id);
+  /// Creates block `index` of `family` with one reference, uncomputed.
+  std::int32_t new_shared_block(std::int32_t family, std::int32_t index);
+  /// Removes an unreferenced block from its family and frees its id.
+  void destroy_block(std::int32_t block_id);
+  void lru_append(std::int32_t block_id);
+  void lru_unlink(std::int32_t block_id);
+  /// Detaches the entry in `slot` from the device bookkeeping it shares:
+  /// block references, rollups and the tail-donor role.
+  void unmap_entry(std::int32_t slot);
+  /// Acquires a dense slot for a new resident `request_id` (the newest
+  /// admission), indexes it and returns it with only id and admit_seq set.
+  std::int32_t slot_insert(std::int64_t request_id);
+  /// Unlinks the entry in `slot` from the id map and admission list and
+  /// recycles the slot.
+  void slot_erase(std::int32_t slot);
+  Entry& slot_entry(std::int32_t slot) {
+    return entry_slots_[static_cast<std::size_t>(slot)];
+  }
+  const Entry& slot_entry(std::int32_t slot) const {
+    return entry_slots_[static_cast<std::size_t>(slot)];
+  }
 
   Bytes capacity_;
   Bytes bytes_per_token_;
@@ -452,32 +510,25 @@ class KvCacheManager {
   std::int64_t host_used_blocks_ = 0;  ///< host-pool blocks
   std::int64_t mapped_tokens_ = 0;     ///< sum of resident entry tokens
   std::int64_t entry_block_tokens_ = 0;  ///< sum of resident blocks * B
+  std::int64_t cached_blocks_ = 0;       ///< length of the LRU list
   std::int64_t next_seq_ = 0;
-  std::int64_t next_block_id_ = 0;
-  std::int64_t next_lru_seq_ = 0;
-  /// Acquires a dense slot for `entry` and indexes it; returns the slot.
-  std::int32_t slot_insert(std::int64_t request_id, Entry&& entry);
-  /// Unlinks the entry in `slot` from the id map and recycles the slot.
-  void slot_erase(std::int32_t slot);
-  Entry& slot_entry(std::int32_t slot) {
-    return entry_slots_[static_cast<std::size_t>(slot)];
-  }
-  const Entry& slot_entry(std::int32_t slot) const {
-    return entry_slots_[static_cast<std::size_t>(slot)];
-  }
 
   std::vector<Entry> entry_slots_;        ///< dense device entries (slot API)
   std::vector<std::int32_t> free_slots_;  ///< recycled entry_slots_ indices
-  std::unordered_map<std::int64_t, std::int32_t> entries_;  ///< id -> slot
-  std::unordered_map<std::int64_t, Entry> host_entries_;  ///< swapped out
-  std::unordered_map<std::int64_t, SharedBlock> shared_blocks_;  ///< by id
-  std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t>
-      prefix_index_;  ///< (prefix_id, block_index) -> physical block id
-  std::map<std::int64_t, std::int64_t> cached_lru_;  ///< lru_seq -> block id
-  std::map<std::int64_t, std::int64_t> tail_donors_;  ///< prefix_id -> entry
-                                                      ///< owning the partial
-                                                      ///< tail block's tokens
-  std::map<std::int64_t, std::int64_t> admit_order_;  ///< admit_seq -> id
+  IdMap entries_;                         ///< id -> slot
+  /// Map nodes of departed entries, reused by the next insert so steady
+  /// admission and release never allocate a node.
+  std::vector<IdMap::node_type> spare_id_nodes_;
+  std::int32_t oldest_slot_ = -1;  ///< admission-order list head
+  std::int32_t newest_slot_ = -1;  ///< admission-order list tail
+  std::unordered_map<std::int64_t, HostEntry> host_entries_;  ///< swapped out
+
+  std::vector<SharedBlock> blocks_;        ///< dense shared blocks, by id
+  std::vector<std::int32_t> free_blocks_;  ///< recycled blocks_ ids
+  std::int32_t lru_oldest_ = -1;  ///< LRU head: the next block reclaimed
+  std::int32_t lru_newest_ = -1;  ///< LRU tail: the last block released
+  std::vector<PrefixFamily> families_;
+  std::unordered_map<std::int64_t, std::int32_t> family_of_prefix_;
 };
 
 }  // namespace cimtpu::serving

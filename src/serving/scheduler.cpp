@@ -673,68 +673,24 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
   // Advance decoders in place: a single compaction pass (two-pointer) drops
   // finished slots — moving 4-byte slot ids, never sequence payloads.
   //
-  // Bulk-growth fast path: at block size 1, every continuing decoder grows
-  // by exactly one token = one block.  When the device has outright room
-  // for resident_decoders_ more blocks (an upper bound on this step's
-  // grows — finishers release instead), every per-decoder capacity check
-  // passes trivially and no reclaim can fire, so the grow collapses to a
-  // two-field entry update plus one global commit after the loop.  The
-  // per-decoder pending-growth bookkeeping simplifies the same way: a
-  // finishing decoder's pre-advance contribution is already 0 (its growth
-  // check looked one token ahead), and a continuing decoder's net change
-  // is -1 exactly when this advance leaves it one token from finishing.
-  if (manage_growth && kv_cache_->can_bulk_grow(resident_decoders_)) {
-    std::int64_t grows = 0;
-    std::int64_t pending_delta = 0;
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < resident_.size(); ++read) {
-      const std::int32_t slot = resident_[read];
-      if (slot_prefilling(slot)) {
-        resident_[write++] = slot;
-        continue;
-      }
-      const std::int64_t kv_len =
-          pool_.prompt_len[slot] + pool_.generated[slot];
-      record->kv_lens.push_back(kv_len);
-      const std::int64_t generated = ++pool_.generated[slot];
-      if (generated >= pool_.output_len[slot]) {
-        record->finished_ids.push_back(pool_.request[slot].id);
-        kv_cache_->release(pool_.request[slot].id);
-        admission_->on_finish(pool_.request[slot], total_steps_);
-        --resident_decoders_;
-        histogram_remove(pool_.bucket[slot]);
-        pool_.release(slot);
-        admit_blocked_ = false;  // finish freed device blocks
-      } else {
-        kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot]);
-        ++grows;
-        const std::int64_t old_bucket = pool_.bucket[slot];
-        if (kv_len == old_bucket) {
-          const std::int64_t new_bucket = old_bucket + config_.seqlen_bucket;
-          histogram_remove(old_bucket);
-          histogram_add(new_bucket);
-          pool_.bucket[slot] = new_bucket;
-        }
-        if (generated + 1 >= pool_.output_len[slot]) --pending_delta;
-        resident_[write++] = slot;
-      }
-    }
-    resident_.resize(write);
-    kv_cache_->commit_bulk_growth(grows);
-    pending_growth_blocks_ += pending_delta;
-    record->batch = static_cast<std::int64_t>(record->kv_lens.size());
-    if (record->batch == 0) {
-      record->decode_groups.clear();
-      return false;  // pressure evicted every decoder
-    }
-    last_step_prefill_ = false;
-    return true;
-  }
-
-  // Exact path (block sizes > 1, kNone, or a near-full device): per-grow
-  // capacity checks may reclaim cached prefix blocks, which can CHANGE a
-  // memoized head-of-line probe's outcome — drop the memo outright.
-  admit_blocked_ = false;
+  // Bulk growth: pending_growth_blocks_ is exactly the number of blocks
+  // this step's continuing decoders cross into (a finishing decoder's
+  // contribution is already 0 — its growth check looked one token ahead).
+  // When the device has free room for all of them outright, no grow can
+  // fail or reclaim a cached prefix block, so each grow is an unchecked
+  // entry update returning the 0 or 1 block it crossed, and one commit
+  // after the loop books the tokens and blocks.  Growth without reclaim
+  // only uses up capacity, so a memoized head-of-line probe failure stays
+  // a failure and admit_blocked_ survives the step.
+  //
+  // Exact path (kNone, or a device too full for bulk growth): per-grow
+  // capacity checks may reclaim cached prefix blocks, so the memo is
+  // dropped outright.
+  const bool bulk =
+      manage_growth && kv_cache_->can_bulk_grow(pending_growth_blocks_);
+  if (!bulk) admit_blocked_ = false;
+  std::int64_t grown_tokens = 0;
+  std::int64_t grown_blocks = 0;
   std::size_t write = 0;
   for (std::size_t read = 0; read < resident_.size(); ++read) {
     const std::int32_t slot = resident_[read];
@@ -748,11 +704,6 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
         pool_.prompt_len[slot] + pool_.generated[slot];
     record->kv_lens.push_back(kv_len);
     const std::int64_t old_bucket = pool_.bucket[slot];
-    // This decoder's pre-advance pending-growth contribution (0 for a
-    // finishing decoder — its growth check looked one token ahead) is
-    // consumed by this advance; the kept branch re-derives the
-    // contribution for the NEXT step after the grow.
-    pending_growth_blocks_ -= growth_blocks(slot);
     const std::int64_t generated = ++pool_.generated[slot];
     if (generated >= pool_.output_len[slot]) {
       record->finished_ids.push_back(pool_.request[slot].id);
@@ -761,26 +712,39 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
       --resident_decoders_;
       histogram_remove(old_bucket);
       pool_.release(slot);
+      admit_blocked_ = false;  // finish freed device blocks
+      continue;
+    }
+    // A continuing decoder's pre-advance pending-growth contribution is
+    // the block its grow crosses; it is replaced by the contribution for
+    // the NEXT step once the grow is booked.
+    std::int64_t crossed;
+    if (bulk) {
+      crossed = kv_cache_->grow_slot_nocheck(pool_.kv_slot[slot]);
+      ++grown_tokens;
+      grown_blocks += crossed;
     } else {
+      crossed = next_token_crosses_block(slot) ? 1 : 0;
       if (manage_growth) {
         const bool grew = kv_cache_->try_grow_slot(pool_.kv_slot[slot], 1);
         CIMTPU_CHECK(grew);  // pre-step eviction guaranteed room
       }
-      // Bucket crossing in one compare: the cached bucket is kv_len rounded
-      // up, so the next token spills past it iff kv_len == bucket — and the
-      // new bucket is then exactly one bucket width further (buckets are
-      // multiples of seqlen_bucket).
-      if (kv_len == old_bucket) {
-        const std::int64_t new_bucket = old_bucket + config_.seqlen_bucket;
-        histogram_remove(old_bucket);
-        histogram_add(new_bucket);
-        pool_.bucket[slot] = new_bucket;
-      }
-      pending_growth_blocks_ += growth_blocks(slot);
-      resident_[write++] = slot;
     }
+    pending_growth_blocks_ += growth_blocks(slot) - crossed;
+    // Bucket crossing in one compare: the cached bucket is kv_len rounded
+    // up, so the next token spills past it iff kv_len == bucket — and the
+    // new bucket is then exactly one bucket width further (buckets are
+    // multiples of seqlen_bucket).
+    if (kv_len == old_bucket) {
+      const std::int64_t new_bucket = old_bucket + config_.seqlen_bucket;
+      histogram_remove(old_bucket);
+      histogram_add(new_bucket);
+      pool_.bucket[slot] = new_bucket;
+    }
+    resident_[write++] = slot;
   }
   resident_.resize(write);
+  if (bulk) kv_cache_->commit_bulk_growth(grown_tokens, grown_blocks);
   record->batch = static_cast<std::int64_t>(record->kv_lens.size());
   if (record->batch == 0) {
     record->decode_groups.clear();
@@ -872,8 +836,8 @@ std::int64_t ContinuousBatchScheduler::repeatable_decode_steps(
   if (decode_kv_histogram_ != last.decode_groups) return 0;
   std::int64_t steps = std::numeric_limits<std::int64_t>::max();
   if (manage_growth) {
-    // Occupied blocks include cached prefix blocks, so this headroom bounds
-    // both of can_bulk_grow's checks (referenced <= occupied).
+    // Free blocks per decoder: every step of the run passes can_bulk_grow
+    // (at block size 1 each decoder grows one block per step).
     steps = (kv_cache_->capacity_blocks() - kv_cache_->occupied_blocks()) /
             resident_decoders_;
   }
@@ -889,11 +853,16 @@ std::int64_t ContinuousBatchScheduler::repeatable_decode_steps(
 void ContinuousBatchScheduler::repeat_decode_steps(std::int64_t n) {
   CIMTPU_CHECK(n >= 0);
   const bool manage_growth = kv_cache_->policy() != EvictionPolicy::kNone;
+  std::int64_t blocks = 0;
   for (const std::int32_t slot : resident_) {
     pool_.generated[slot] += n;
-    if (manage_growth) kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot], n);
+    if (manage_growth) {
+      blocks += kv_cache_->grow_slot_nocheck(pool_.kv_slot[slot], n);
+    }
   }
-  if (manage_growth) kv_cache_->commit_bulk_growth(n * resident_decoders_);
+  if (manage_growth) {
+    kv_cache_->commit_bulk_growth(n * resident_decoders_, blocks);
+  }
   total_steps_ += n;
 }
 

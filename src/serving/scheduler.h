@@ -38,6 +38,11 @@
 // bucketed-KV histogram over resident decoders — updated on every
 // admit / prefill-completion / decode-advance / finish / preempt / swap
 // transition, so planning a step never rescans all resident sequences.
+// The pending-growth count is exact at every block size, so whenever the
+// device has free room for it a decode step grows KV in bulk (one
+// unchecked update per decoder, one commit per step; see
+// KvCacheManager::can_bulk_grow) and only near-full devices pay the
+// per-grow checked path.
 // Step costs come from the analytic simulator, memoized per
 // (batch, bucketed-seqlen) shape in a flat open-addressed table
 // (StepCostCache, step_cost_cache.h).  `cost_step` sums PER-SEQUENCE
@@ -214,8 +219,10 @@ class ContinuousBatchScheduler {
   //   * no admission can happen: nothing waits, the head-of-line probe
   //     memo (admit_blocked_) holds, or the batch is full — so neither the
   //     policy's select nor its shedding runs;
-  //   * under a preempting policy the KV block size is 1, so every step
-  //     takes the bulk-growth path (kNone never grows KV in decode).
+  //   * under a preempting policy the KV block size is 1 (kNone never
+  //     grows KV in decode).  Larger blocks take the same bulk-growth path
+  //     per step, but their runs are cut short by block crossings and
+  //     arrivals, so they are not fast-forwarded.
   // The count is the minimum of three limits: per decoder
   // output_len - generated - 2 (nobody finishes, and the pending-growth
   // count never changes), per decoder bucket - kv_len (nobody crosses a
@@ -379,16 +386,16 @@ class ContinuousBatchScheduler {
   bool sequence_grows(std::int32_t slot) const {
     return pool_.generated[slot] + 1 < pool_.output_len[slot];
   }
-  /// Blocks the next decode step must allocate for `slot` (0 or 1).  At
-  /// block size 1 — the golden-pinned default — EVERY grow crosses a block
-  /// boundary (tokens % 1 == 0 always), so the KV-manager probe is skipped
-  /// entirely on that path.
+  /// Would `slot`'s next token cross into a new KV block?  At block size
+  /// 1 — the golden-pinned default — EVERY token does (tokens % 1 == 0
+  /// always), so the KV-manager probe is skipped entirely on that path.
+  bool next_token_crosses_block(std::int32_t slot) const {
+    return config_.kv_block_tokens == 1 ||
+           kv_cache_->grow_needs_block_slot(pool_.kv_slot[slot]);
+  }
+  /// Blocks the next decode step must allocate for `slot` (0 or 1).
   std::int64_t growth_blocks(std::int32_t slot) const {
-    return sequence_grows(slot) &&
-                   (config_.kv_block_tokens == 1 ||
-                    kv_cache_->grow_needs_block_slot(pool_.kv_slot[slot]))
-               ? 1
-               : 0;
+    return sequence_grows(slot) && next_token_crosses_block(slot) ? 1 : 0;
   }
   std::int64_t decode_bucket(std::int32_t slot) const {
     return round_up(pool_.prompt_len[slot] + pool_.generated[slot],
@@ -445,9 +452,10 @@ class ContinuousBatchScheduler {
   /// when try_admit rejected the policy's head, cleared by ANY structural
   /// change that could alter the probe's outcome — enqueue/requeue, a
   /// release or eviction freeing blocks, swap traffic, prefill progress
-  /// (prefix-cache state), fault surgery, or a degradation toggle.  Pure
-  /// decode growth only consumes capacity, so while the flag holds the
-  /// probe would fail identically and is skipped.
+  /// (prefix-cache state), fault surgery, a degradation toggle, or an
+  /// exact-path decode step (its grows may reclaim cached prefix blocks).
+  /// Bulk decode growth only consumes capacity, so while the flag holds
+  /// the probe would fail identically and is skipped.
   bool admit_blocked_ = false;
   bool degraded_ = false;           ///< graceful-degradation mode
   int degraded_max_batch_ = 0;      ///< batch cap while degraded (0 = none)

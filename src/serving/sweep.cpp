@@ -309,8 +309,6 @@ std::vector<SweepCellResult> run_serving_sweep(const ServingSweep& sweep,
                       point.scenario.trace.label + "." +
                       sanitize_trace_label(point.label);
                 }
-                points.push_back(std::move(point));
-
                 SweepCellResult cell;
                 cell.arrival_rate = sweep.arrival_rates[r];
                 cell.model = model.name;
@@ -326,6 +324,8 @@ std::vector<SweepCellResult> run_serving_sweep(const ServingSweep& sweep,
                 if (replica_axis > 0) cell.router_policy = point.router_policy;
                 cell.disaggregated = disagg_axis;
                 cells.push_back(std::move(cell));
+                // Last: the cell above reads the point's router name.
+                points.push_back(std::move(point));
                    }
                   }
                  }

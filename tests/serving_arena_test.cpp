@@ -143,5 +143,62 @@ TEST_F(SteadyDecodeTest, HotLoopIsAllocationFreeInSteadyState) {
   EXPECT_EQ(allocations(), before) << "the decode fast-forward must not allocate";
 }
 
+TEST_F(SteadyDecodeTest, PagedPrefixSteadyStateIsAllocationFree) {
+  // 16-token blocks with prefix caching: every request shares one
+  // 1000-token prefix (62 full blocks plus a copy-on-write tail), so each
+  // admission walks the prefix family's block vector and maps 62 shared
+  // blocks; short outputs keep requests finishing and new ones admitted.
+  // The device is roomy, so every decode step takes the bulk-growth path.
+  KvCacheManager kv_cache(/*capacity=*/1e12,
+                          KvCacheManager::token_bytes(model_),
+                          EvictionPolicy::kPreemptNewest,
+                          /*host_capacity=*/1024 * GiB, /*block_tokens=*/16,
+                          /*enable_prefix_cache=*/true);
+  SchedulerConfig config;
+  config.max_batch = 8;
+  config.max_prefill_batch = 2;
+  config.kv_block_tokens = 16;
+  config.enable_prefix_cache = true;
+  ContinuousBatchScheduler scheduler(config, &kv_cache);
+  StepArena arena;
+  arena.warm(config.max_batch, config.max_prefill_batch);
+  StepRecord& record = arena.record();
+
+  // Every request is queued up front: the waiting queue is filled (and
+  // allocated) before the measured window, which then only pops from it.
+  for (std::int64_t id = 0; id < 400; ++id) {
+    Request request = make_request(id);
+    request.prompt_len = 1000 + 8 * (id % 5);
+    request.output_len = 20 + 7 * (id % 3);
+    request.prefix_id = 0;
+    request.prefix_len = 1000;
+    scheduler.enqueue(request);
+  }
+  // Warm-up: every entry slot, id-map node, block vector and scheduler
+  // pool slot this regime uses reaches its steady capacity.
+  for (int i = 0; i < 600; ++i) ASSERT_TRUE(scheduler.next_step(&record));
+
+  const ServingCounters warm = scheduler.counters();
+  const std::size_t waiting = scheduler.waiting_count();
+  std::int64_t decode_steps = 0;
+  std::int64_t finished = 0;
+  const std::int64_t before = allocations();
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(scheduler.next_step(&record));
+    if (record.kind == StepRecord::Kind::kDecode) ++decode_steps;
+    finished += static_cast<std::int64_t>(record.finished_ids.size());
+  }
+  EXPECT_EQ(allocations(), before)
+      << "paged prefix admission, release and bulk decode must not allocate";
+  // The window really exercised every path the gate claims to cover.
+  EXPECT_GT(waiting - scheduler.waiting_count(), 50u);  // admissions
+  EXPECT_GT(finished, 50);                              // releases
+  EXPECT_GT(decode_steps, 100);
+  EXPECT_GT(scheduler.counters().prefix_hit_tokens, warm.prefix_hit_tokens);
+  EXPECT_GT(scheduler.counters().prefix_cow_blocks, warm.prefix_cow_blocks);
+  EXPECT_TRUE(kv_cache.can_bulk_grow(config.max_batch));
+  EXPECT_TRUE(kv_cache.audit());
+}
+
 }  // namespace
 }  // namespace cimtpu::serving

@@ -573,6 +573,11 @@ TEST(ClusterSweepTest, ClusterCellsBitIdenticalAcrossThreadCounts) {
               b[i].metrics.goodput_tokens_per_second);
     EXPECT_EQ(a[i].metrics.registry.to_json(), b[i].metrics.registry.to_json());
   }
+  // Cluster cells carry the router they ran; single-engine cells none.
+  EXPECT_TRUE(a[0].router_policy.empty());
+  EXPECT_TRUE(a[1].router_policy.empty());
+  EXPECT_EQ(a[2].router_policy, "round_robin");
+  EXPECT_EQ(a[3].router_policy, "least_loaded");
   // Replicated cells really are cluster runs: 2x the chips.
   EXPECT_EQ(a[0].metrics.chips, 1);
   EXPECT_EQ(a[2].metrics.chips, 2);

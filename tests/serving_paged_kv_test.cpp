@@ -8,14 +8,18 @@
 // The scheduler-level tests drive prefix-tagged requests end to end:
 // prefix hits must skip prefill work (chunks start at a nonzero KV
 // offset) and the canonical chatbot study must show hit rate > 0.5 with
-// strictly higher goodput than caching off.
+// strictly higher goodput than caching off.  Golden pins freeze the
+// paged, prefix-cached path end to end (kPagedGoldens).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +27,8 @@
 #include "serving/request_gen.h"
 #include "serving/scheduler.h"
 #include "serving/serving_sim.h"
+#include "serving/sweep.h"
+#include "serving/trace.h"
 #include "serving/traffic_profiles.h"
 
 namespace cimtpu::serving {
@@ -432,6 +438,102 @@ TEST(PagedKvFuzzTest, NoLeaksAcrossSeedsAndPolicies) {
   }
 }
 
+TEST(PagedKvFuzzTest, RecycledBlockIdsUnderReclaimFaultsAndSwaps) {
+  // A 30-block device shared by four prefix families (one of them seen at
+  // two prefix lengths) churns through LRU reclaim, fault invalidation of
+  // resident and swapped entries, cached-block drops and swap-outs of
+  // entries that map shared blocks.  Far more prefix blocks are registered
+  // than the device can hold, so block ids are recycled over and over;
+  // audit() re-derives refcounts, LRU membership and the family index
+  // after every operation.
+  const std::int64_t prefix_lens[] = {8, 10, 17, 14, 22};  // family 3 twice
+  for (std::uint64_t seed : {7ull, 29ull, 211ull}) {
+    KvCacheManager kv = paged(/*capacity=*/120.0, /*block_tokens=*/4,
+                              /*prefix_cache=*/true,
+                              EvictionPolicy::kSwapToHost,
+                              /*host_capacity=*/160.0);
+    Rng rng(seed);
+    std::set<std::int64_t> device, host;
+    std::map<std::int64_t, std::int64_t> prompts;
+    const auto pick = [&rng](const std::set<std::int64_t>& ids) {
+      return *std::next(ids.begin(),
+                        rng.uniform_int(0, static_cast<std::int64_t>(
+                                               ids.size()) - 1));
+    };
+    std::int64_t registered = 0;
+    std::int64_t shared_swap_outs = 0;
+    std::int64_t invalidated_resident = 0;
+    std::int64_t invalidated_swapped = 0;
+    std::int64_t dropped = 0;
+    for (std::int64_t op = 0; op < 2000; ++op) {
+      const std::int64_t kind = rng.uniform_int(0, 8);
+      if (kind <= 2 || device.empty()) {
+        const std::int64_t family = rng.uniform_int(0, 4);
+        const bool tagged = rng.uniform_int(0, 3) > 0;
+        const std::int64_t prefix_len = prefix_lens[family];
+        const std::int64_t prompt = prefix_len + rng.uniform_int(1, 12);
+        KvCacheManager::AdmitOutcome outcome;
+        if (kv.try_admit(op, prompt + 1, rng.uniform_int(0, 3),
+                         tagged ? std::min<std::int64_t>(family, 3) : -1,
+                         tagged ? prefix_len : 0, prompt, &outcome)) {
+          device.insert(op);
+          prompts[op] = prompt;
+          registered += kv.shared_block_count(op) - outcome.shared_blocks;
+          kv.note_prefilled(op, rng.uniform_int(0, prompt));
+        }
+      } else if (kind == 3) {
+        const std::int64_t id = pick(device);
+        kv.note_prefilled(id, rng.uniform_int(0, prompts[id]));
+      } else if (kind == 4) {
+        kv.try_grow(pick(device), rng.uniform_int(1, 6));
+      } else if (kind == 5) {
+        const std::int64_t id = pick(device);
+        kv.release(id);
+        device.erase(id);
+      } else if (kind == 6) {
+        const std::int64_t id = pick(device);
+        const bool shares = kv.shared_block_count(id) > 0;
+        if (kv.try_swap_out(id)) {
+          device.erase(id);
+          host.insert(id);
+          if (shares) ++shared_swap_outs;
+        }
+      } else if (kind == 7) {
+        const bool from_host = !host.empty() && rng.uniform_int(0, 1) == 0;
+        const std::int64_t id = from_host ? pick(host) : pick(device);
+        ASSERT_GT(kv.invalidate_blocks(id), 0);
+        (from_host ? host : device).erase(id);
+        ++(from_host ? invalidated_swapped : invalidated_resident);
+      } else if (rng.uniform_int(0, 3) == 0) {
+        const std::int64_t cached = kv.cached_block_count();
+        ASSERT_EQ(kv.drop_cached_blocks(), cached);
+        ASSERT_EQ(kv.cached_block_count(), 0);
+        dropped += cached;
+      }
+      if (!host.empty() && rng.uniform_int(0, 2) == 0 &&
+          kv.try_swap_in(*host.begin())) {
+        device.insert(*host.begin());
+        host.erase(host.begin());
+      }
+      ASSERT_TRUE(kv.audit()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(kv.resident_count(), device.size());
+      ASSERT_EQ(kv.swapped_count(), host.size());
+    }
+    // Every mechanism the interleaving is meant to cover actually ran.
+    EXPECT_GT(registered, 4 * kv.capacity_blocks()) << "ids not recycled";
+    EXPECT_GT(kv.cached_blocks_reclaimed_total(), 0);
+    EXPECT_GT(dropped, 0);
+    EXPECT_GT(invalidated_resident, 0);
+    EXPECT_GT(invalidated_swapped, 0);
+    EXPECT_GT(shared_swap_outs, 0);
+    for (std::int64_t id : device) kv.release(id);
+    for (std::int64_t id : host) kv.invalidate_blocks(id);
+    EXPECT_EQ(kv.referenced_blocks(), 0);
+    EXPECT_EQ(kv.occupied_blocks(), kv.cached_block_count());
+    EXPECT_TRUE(kv.audit());
+  }
+}
+
 // --- Paged-vs-contiguous lockstep equivalence at block size 1 (satellite) ----
 
 /// The pre-paging contiguous accounting, reimplemented verbatim: used_ is
@@ -697,6 +799,192 @@ TEST(PrefixCacheEndToEndTest, ChatbotHitRateAboveHalfAndGoodputWin) {
   EXPECT_DOUBLE_EQ(on.prefix_hit_rate, again.prefix_hit_rate);
   EXPECT_DOUBLE_EQ(on.kv_internal_fragmentation,
                    again.kv_internal_fragmentation);
+}
+
+// --- Golden pins for the paged, prefix-cached path ---------------------------
+//
+// kGoldens (serving_policy_test.cpp) pins block size 1 with caching off.
+// These pin the paged path: the three prefix_cache_grid_points cells
+// (block 16 off/on, block 64 on) on the canonical chatbot stream, plus one
+// pressured prefix-cache cell whose tight budget makes cached-block
+// reclaim, recompute preemption and head-of-line admission blocking all
+// fire (PagedGoldenTest.PressuredCellExercisesEveryPressureMechanism
+// proves each one did).  Counts and doubles are compared EXACTLY: the
+// KV bookkeeping is integer arithmetic and every cost comes from the same
+// memoized model, so a refactor of the KV manager or of decode planning
+// must reproduce these bit for bit.
+//
+// UPDATE PROCEDURE (only after an INTENTIONAL behaviour change):
+//   1. Re-run ./serving_paged_kv_test with
+//        --gtest_also_run_disabled_tests
+//        --gtest_filter='*PrintPagedGoldenValues*'
+//   2. Paste the printed rows over kPagedGoldens below.
+//   3. Explain the drift (which change moved which metric) in your PR.
+
+struct PagedGolden {
+  const char* label;
+  std::int64_t steps;
+  std::int64_t preemptions;
+  std::int64_t blocks_allocated;
+  std::int64_t blocks_reclaimed;
+  std::int64_t cow_blocks;
+  std::int64_t prefix_hit_tokens;
+  double fragmentation;
+  double ttft_p50;
+  double ttft_p99;
+  double tpot_p50;
+  double tpot_p99;
+};
+
+constexpr const char* kPressuredLabel = "block=16 prefix_cache=on pressured";
+constexpr std::int64_t kPressuredBudgetTokens = 6000;
+
+const std::vector<Request>& paged_golden_requests() {
+  static const std::vector<Request> requests = generate_requests(
+      prefix_chatbot_stream(/*seed=*/42, /*num_requests=*/200,
+                            /*arrival_rate=*/30.0));
+  return requests;
+}
+
+/// The pinned cells, in kPagedGoldens order: the canonical grid, then the
+/// pressured cell (caching on, block 16, kPressuredBudgetTokens budget).
+std::vector<SweepPoint> paged_golden_points() {
+  const ServingScenario base = prefix_cache_scenario(ir::DType::kInt4, true);
+  std::vector<SweepPoint> points =
+      prefix_cache_grid_points(base.model, &paged_golden_requests());
+  SweepPoint pressured;
+  pressured.label = kPressuredLabel;
+  pressured.scenario = prefix_cache_scenario(
+      ir::DType::kInt4, /*enable_prefix_cache=*/true, /*kv_block_tokens=*/16,
+      kPressuredBudgetTokens);
+  pressured.requests = &paged_golden_requests();
+  points.push_back(std::move(pressured));
+  return points;
+}
+
+std::int64_t registry_counter(const ServingMetrics& metrics,
+                              const std::string& name) {
+  return metrics.registry.counters().at(name);
+}
+
+const PagedGolden kPagedGoldens[] = {
+    {"block=16 prefix_cache=off", 928, 9, 14837, 0, 0, 0, 0.0063445032652685212, 19.593841514726076, 43.673329200039355, 0.082288925030609444, 0.13996829189225996},
+    {"block=16 prefix_cache=on", 624, 0, 2293, 0, 178, 191888, 0.0062220527793078522, 3.6543884554303889, 10.033460462626643, 0.057666004371642508, 0.089803803024701812},
+    {"block=64 prefix_cache=on", 624, 0, 759, 0, 178, 191440, 0.026612382796193757, 3.6543884554303889, 10.033460462626643, 0.057666004371642508, 0.089803803024701812},
+    {"block=16 prefix_cache=on pressured", 1020, 115, 2970, 250, 251, 303512, 0.0063357157669539131, 8.6671368087179825, 21.271374424308899, 0.043389138676058085, 0.12177050090119614},
+};
+
+TEST(PagedGoldenTest, GridAndPressuredCellsMatchPins) {
+  const std::vector<SweepPoint> points = paged_golden_points();
+  ASSERT_EQ(points.size(), std::size(kPagedGoldens));
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const PagedGolden& golden = kPagedGoldens[i];
+    ASSERT_EQ(points[i].label, golden.label);
+    const ServingMetrics metrics =
+        run_serving(points[i].scenario, *points[i].requests);
+    SCOPED_TRACE(golden.label);
+    EXPECT_EQ(metrics.completed, 200);
+    EXPECT_EQ(metrics.total_steps, golden.steps);
+    EXPECT_EQ(metrics.preemptions, golden.preemptions);
+    EXPECT_EQ(registry_counter(metrics, "kv.blocks_allocated_total"),
+              golden.blocks_allocated);
+    EXPECT_EQ(registry_counter(metrics, "kv.cached_blocks_reclaimed_total"),
+              golden.blocks_reclaimed);
+    EXPECT_EQ(metrics.counters.prefix_cow_blocks, golden.cow_blocks);
+    EXPECT_EQ(metrics.counters.prefix_hit_tokens, golden.prefix_hit_tokens);
+    EXPECT_EQ(metrics.kv_internal_fragmentation, golden.fragmentation);
+    EXPECT_EQ(metrics.ttft.p50, golden.ttft_p50);
+    EXPECT_EQ(metrics.ttft.p99, golden.ttft_p99);
+    EXPECT_EQ(metrics.tpot.p50, golden.tpot_p50);
+    EXPECT_EQ(metrics.tpot.p99, golden.tpot_p99);
+  }
+}
+
+/// Steps whose admission phase ended with a request still waiting although
+/// neither the batch cap nor the per-step admission cap stopped it,
+/// reconstructed from a traced run.  Under FIFO admission with nothing
+/// swapped out and no degradation, only a failed KvCacheManager::try_admit
+/// probe (or the memo of one) ends admission that way.
+std::int64_t head_of_line_blocked_steps(const std::vector<TraceEvent>& events,
+                                        const SchedulerConfig& config) {
+  std::int64_t waiting = 0;
+  std::int64_t resident = 0;
+  std::int64_t admitted = 0;     // admissions in the current step
+  std::int64_t step = -1;        // step whose admission phase is open
+  bool judged = true;            // current step's admission phase judged
+  std::int64_t blocked = 0;
+  for (const TraceEvent& event : events) {
+    if (event.step >= 0 && event.step != step) {
+      step = event.step;
+      admitted = 0;
+      judged = false;
+    }
+    const bool admission_phase = event.type == TraceEventType::kAdmit ||
+                                 event.type == TraceEventType::kPrefixHit;
+    if (!judged && event.step == step && !admission_phase) {
+      judged = true;
+      if (waiting > 0 && admitted < config.max_prefill_batch &&
+          resident < config.max_batch) {
+        ++blocked;
+      }
+    }
+    switch (event.type) {
+      case TraceEventType::kArrive: ++waiting; break;
+      case TraceEventType::kAdmit:
+        --waiting;
+        ++resident;
+        ++admitted;
+        break;
+      case TraceEventType::kPreempt:
+        --resident;
+        ++waiting;
+        break;
+      case TraceEventType::kFinish: --resident; break;
+      default: break;
+    }
+  }
+  return blocked;
+}
+
+TEST(PagedGoldenTest, PressuredCellExercisesEveryPressureMechanism) {
+  const SweepPoint pressured = paged_golden_points().back();
+  ASSERT_EQ(pressured.label, kPressuredLabel);
+  ASSERT_EQ(pressured.scenario.eviction, EvictionPolicy::kPreemptNewest);
+  ASSERT_EQ(pressured.scenario.scheduler.admission.policy, "fifo");
+  ServingScenario traced = pressured.scenario;
+  traced.trace.enabled = true;
+  ServingTrace trace;
+  const ServingMetrics metrics =
+      run_serving(traced, *pressured.requests, nullptr, &trace);
+  EXPECT_GT(registry_counter(metrics, "kv.cached_blocks_reclaimed_total"), 0)
+      << "no cached prefix block was reclaimed under pressure";
+  EXPECT_GT(metrics.counters.preemptions_recompute, 0)
+      << "no recompute preemption fired";
+  EXPECT_GT(head_of_line_blocked_steps(trace.events(),
+                                       pressured.scenario.scheduler),
+            0)
+      << "no head-of-line admission probe failed";
+}
+
+// Regenerates the kPagedGoldens table (see UPDATE PROCEDURE above).
+TEST(PagedGoldenTest, DISABLED_PrintPagedGoldenValues) {
+  for (const SweepPoint& point : paged_golden_points()) {
+    const ServingMetrics metrics =
+        run_serving(point.scenario, *point.requests);
+    std::printf(
+        "    {\"%s\", %lld, %lld, %lld, %lld, %lld, %lld, %.17g, %.17g, "
+        "%.17g, %.17g, %.17g},\n",
+        point.label.c_str(), static_cast<long long>(metrics.total_steps),
+        static_cast<long long>(metrics.preemptions),
+        static_cast<long long>(
+            registry_counter(metrics, "kv.blocks_allocated_total")),
+        static_cast<long long>(
+            registry_counter(metrics, "kv.cached_blocks_reclaimed_total")),
+        static_cast<long long>(metrics.counters.prefix_cow_blocks),
+        static_cast<long long>(metrics.counters.prefix_hit_tokens),
+        metrics.kv_internal_fragmentation, metrics.ttft.p50,
+        metrics.ttft.p99, metrics.tpot.p50, metrics.tpot.p99);
+  }
 }
 
 }  // namespace
