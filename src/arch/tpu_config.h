@@ -5,6 +5,7 @@
 #include <string>
 
 #include "cim/cim_mxu.h"
+#include "common/fields.h"
 #include "common/units.h"
 #include "mem/link.h"
 #include "mem/memory.h"
@@ -39,6 +40,16 @@ struct TpuChipConfig {
   Hertz effective_clock() const;
 
   void validate() const;
+  /// Every member, the inactive MXU spec included (common/fields.h).
+  static constexpr auto fields() {
+    using S = TpuChipConfig;
+    return std::make_tuple(
+        field("name", &S::name), field("technology", &S::technology),
+        field("clock", &S::clock), field("mxu_count", &S::mxu_count),
+        field("mxu_kind", &S::mxu_kind), field("systolic", &S::systolic),
+        field("cim", &S::cim), field("vpu", &S::vpu),
+        field("memory", &S::memory), field("ici", &S::ici));
+  }
 };
 
 // --- Presets -----------------------------------------------------------------

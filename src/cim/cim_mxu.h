@@ -22,6 +22,7 @@
 // Energy: useful MACs at CIM per-MAC energy; read-gated idle bank slots
 // burn kCimBubbleActivity of a MAC; weight writes pay SRAM write energy.
 
+#include "common/fields.h"
 #include "systolic/matrix_unit.h"
 
 namespace cimtpu::cim {
@@ -41,6 +42,15 @@ struct CimMxuSpec {
 
   int cores() const { return grid_rows * grid_cols; }
   void validate() const;
+  static constexpr auto fields() {  // common/fields.h
+    using S = CimMxuSpec;
+    return std::make_tuple(
+        field("grid_rows", &S::grid_rows), field("grid_cols", &S::grid_cols),
+        field("core_rows", &S::core_rows), field("core_cols", &S::core_cols),
+        field("core_macs_per_cycle", &S::core_macs_per_cycle),
+        field("weight_io_bytes_per_cycle", &S::weight_io_bytes_per_cycle),
+        field("overlapped_weight_update", &S::overlapped_weight_update));
+  }
 };
 
 class CimMxu final : public systolic::MatrixUnit {

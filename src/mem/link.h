@@ -6,6 +6,7 @@
 // model follows the standard ring algorithm costs used by Megatron-style
 // tensor parallelism.
 
+#include "common/fields.h"
 #include "common/units.h"
 #include "tech/energy_model.h"
 
@@ -15,6 +16,14 @@ struct IciLinkSpec {
   int links_per_chip = 2;
   BytesPerSecond bandwidth_per_link = 100 * GBps;
   Seconds hop_latency = 1.0 * us;  ///< per-message software+SerDes latency
+
+  static constexpr auto fields() {  // common/fields.h
+    using S = IciLinkSpec;
+    return std::make_tuple(
+        field("links_per_chip", &S::links_per_chip),
+        field("bandwidth_per_link", &S::bandwidth_per_link),
+        field("hop_latency", &S::hop_latency));
+  }
 };
 
 /// Cost model for ring collectives across `chips` devices.

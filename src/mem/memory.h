@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "common/fields.h"
 #include "common/units.h"
 #include "ir/op.h"
 #include "tech/energy_model.h"
@@ -22,6 +23,13 @@ struct MemoryLevelSpec {
   std::string name;
   Bytes capacity = 0;
   BytesPerSecond bandwidth = 0;
+
+  static constexpr auto fields() {  // common/fields.h
+    using S = MemoryLevelSpec;
+    return std::make_tuple(field("name", &S::name),
+                           field("capacity", &S::capacity),
+                           field("bandwidth", &S::bandwidth));
+  }
 };
 
 /// Chip-level memory system specification (Table I defaults).
@@ -32,6 +40,11 @@ struct MemorySystemSpec {
 
   /// Validates capacities/bandwidths; throws ConfigError on nonsense.
   void validate() const;
+  static constexpr auto fields() {  // common/fields.h
+    using S = MemorySystemSpec;
+    return std::make_tuple(field("vmem", &S::vmem), field("cmem", &S::cmem),
+                           field("hbm", &S::hbm));
+  }
 };
 
 /// Runtime memory-cost model bound to a technology node.

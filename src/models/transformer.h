@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.h"
 #include "common/units.h"
 #include "ir/dtype.h"
 
@@ -37,6 +38,14 @@ struct TransformerConfig {
   double stack_parameters() const;
 
   void validate() const;
+  static constexpr auto fields() {  // common/fields.h
+    using S = TransformerConfig;
+    return std::make_tuple(
+        field("name", &S::name), field("num_layers", &S::num_layers),
+        field("num_heads", &S::num_heads), field("d_model", &S::d_model),
+        field("d_ff", &S::d_ff), field("vocab_size", &S::vocab_size),
+        field("ffn", &S::ffn), field("dtype", &S::dtype));
+  }
 };
 
 /// KV-cache footprint for `batch` sequences of `kv_len` tokens (one layer).

@@ -659,22 +659,10 @@ ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster) {
     flat.prefill_steps += replica.prefill_steps;
     flat.decode_steps += replica.decode_steps;
     flat.preemptions += replica.preemptions;
-    flat.counters.preemptions_recompute +=
-        replica.counters.preemptions_recompute;
-    flat.counters.preemptions_swap += replica.counters.preemptions_swap;
-    flat.counters.swap_ins += replica.counters.swap_ins;
-    flat.counters.swap_out_bytes += replica.counters.swap_out_bytes;
-    flat.counters.swap_in_bytes += replica.counters.swap_in_bytes;
-    flat.counters.chunked_prefill_steps +=
-        replica.counters.chunked_prefill_steps;
-    flat.counters.prefix_lookup_tokens += replica.counters.prefix_lookup_tokens;
-    flat.counters.prefix_hit_tokens += replica.counters.prefix_hit_tokens;
-    flat.counters.prefix_shared_blocks +=
-        replica.counters.prefix_shared_blocks;
-    flat.counters.prefix_cow_blocks += replica.counters.prefix_cow_blocks;
-    flat.counters.shed_deadline += replica.counters.shed_deadline;
-    flat.counters.shed_horizon += replica.counters.shed_horizon;
-    flat.counters.shed_fault += replica.counters.shed_fault;
+    add_fields(&flat.counters, replica.counters);
+    // mttr_seconds stays unaggregated (0): a mean repair interval is not a
+    // sum, and the replicas' repair counts are not kept to weight one.
+    add_fields(&flat.fault, replica.fault);
     flat.wasted_recompute_tokens += replica.wasted_recompute_tokens;
     flat.retries_total += replica.retries_total;
     flat.mxu_energy += replica.mxu_energy;

@@ -31,12 +31,11 @@
 #include <cstdint>
 #include <deque>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "common/units.h"
 
 namespace cimtpu::serving {
-
-class MetricsRegistry;
 
 /// Fault-injection + recovery knobs, carried by ServingScenario.
 /// Default-constructed = subsystem off — the golden-pinned
@@ -202,7 +201,22 @@ struct FaultStats {
   std::int64_t degrade_enters = 0;
   std::int64_t degrade_exits = 0;
 
-  void publish(MetricsRegistry* registry) const;
+  /// Registry names (common/fields.h): publish_fields and the cluster
+  /// rollup walk this list.
+  static constexpr auto fields() {
+    using S = FaultStats;
+    return std::make_tuple(
+        field("fault.stalls", &S::stalls),
+        field("fault.kv_losses", &S::kv_losses),
+        field("fault.device_failures", &S::device_failures),
+        field("fault.host_restores", &S::host_restores),
+        field("fault.host_restore_bytes", &S::host_restore_bytes),
+        field("fault.retries_total", &S::retries),
+        field("fault.dropped", &S::dropped),
+        field("fault.wasted_recompute_tokens", &S::wasted_recompute_tokens),
+        field("fault.degrade_enters", &S::degrade_enters),
+        field("fault.degrade_exits", &S::degrade_exits));
+  }
 };
 
 }  // namespace cimtpu::serving

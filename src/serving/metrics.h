@@ -9,12 +9,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/units.h"
 #include "serving/stats.h"  // percentile math (shared with the registry)
 
 namespace cimtpu::serving {
-
-class MetricsRegistry;
 
 /// Five-number summary of a latency sample.
 struct LatencySummary {
@@ -95,9 +94,25 @@ struct ServingCounters {
   /// up (cache disabled or no tagged requests).
   double prefix_hit_rate() const;
 
-  /// Publishes every counter into `registry` under "scheduler.*" names
-  /// (serving/obs_registry.h).
-  void publish(MetricsRegistry* registry) const;
+  /// Registry names (common/fields.h): publish_fields and the cluster
+  /// rollup walk this list.
+  static constexpr auto fields() {
+    using S = ServingCounters;
+    return std::make_tuple(
+        field("scheduler.preemptions_recompute", &S::preemptions_recompute),
+        field("scheduler.preemptions_swap", &S::preemptions_swap),
+        field("scheduler.swap_ins", &S::swap_ins),
+        field("scheduler.swap_out_bytes", &S::swap_out_bytes),
+        field("scheduler.swap_in_bytes", &S::swap_in_bytes),
+        field("scheduler.chunked_prefill_steps", &S::chunked_prefill_steps),
+        field("scheduler.prefix_lookup_tokens", &S::prefix_lookup_tokens),
+        field("scheduler.prefix_hit_tokens", &S::prefix_hit_tokens),
+        field("scheduler.prefix_shared_blocks", &S::prefix_shared_blocks),
+        field("scheduler.prefix_cow_blocks", &S::prefix_cow_blocks),
+        field("scheduler.shed_deadline", &S::shed_deadline),
+        field("scheduler.shed_horizon", &S::shed_horizon),
+        field("scheduler.shed_fault", &S::shed_fault));
+  }
 };
 
 }  // namespace cimtpu::serving

@@ -20,9 +20,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/units.h"
 #include "serving/stats.h"
 
@@ -73,6 +75,23 @@ class MetricsRegistry {
   std::map<std::string, double> gauges_;
   std::map<std::string, FixedBucketHistogram> histograms_;
 };
+
+/// Publishes every entry of `S::fields()` (common/fields.h) under its
+/// registry name: int64 members as counters, doubles as gauges.
+template <class S>
+void publish_fields(const S& object, MetricsRegistry* registry) {
+  for_each_field<S>([&object, registry](const auto& entry) {
+    const auto& value = object.*entry.member;
+    using V = std::decay_t<decltype(value)>;
+    static_assert(std::is_same_v<V, double> || std::is_same_v<V, std::int64_t>,
+                  "registry fields are int64 counters or double gauges");
+    if constexpr (std::is_same_v<V, double>) {
+      registry->set_gauge(entry.name, value);
+    } else {
+      registry->set_counter(entry.name, value);
+    }
+  });
+}
 
 /// One snapshot of the engine's observable state, taken between steps.
 /// `tenant_admitted_tokens` lists (tenant_id, cumulative admitted

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "common/units.h"
 
@@ -40,6 +41,18 @@ struct Request {
   Seconds tpot_deadline = 0;    ///< SLO: steady-state decode must average at
                                 ///< most this many seconds per token after the
                                 ///< first; 0 = no deadline
+
+  /// Request-trace JSONL keys (serving/request_trace.h), in line order.
+  static constexpr auto fields() {
+    using S = Request;
+    return std::make_tuple(
+        field("id", &S::id), field("arrival_s", &S::arrival_time),
+        field("prompt", &S::prompt_len), field("output", &S::output_len),
+        field("priority", &S::priority), field("tenant", &S::tenant_id),
+        field("prefix_id", &S::prefix_id), field("prefix_len", &S::prefix_len),
+        field("ttft_deadline_s", &S::ttft_deadline),
+        field("tpot_deadline_s", &S::tpot_deadline));
+  }
 };
 
 /// Arrival process of the stream.

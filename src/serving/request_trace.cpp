@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/status.h"
 
@@ -19,7 +20,7 @@ namespace {
 /// "nan"/"inf" would round-trip into a trace no simulator run can have
 /// produced (arrivals and deadlines are always finite), so both sides
 /// reject them loudly.
-void append_double(std::string* out, double value) {
+void append_number(std::string* out, double value) {
   CIMTPU_CONFIG_CHECK(std::isfinite(value),
                       "request trace values must be finite, got " << value);
   char buffer[64];
@@ -27,7 +28,7 @@ void append_double(std::string* out, double value) {
   out->append(buffer);
 }
 
-void append_int(std::string* out, std::int64_t value) {
+void append_number(std::string* out, std::int64_t value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%lld",
                 static_cast<long long>(value));
@@ -101,18 +102,14 @@ Request parse_line(const char* line, std::size_t line_number) {
     do {
       const std::string key = scan.key();
       const double value = scan.number();
-      const auto as_int = [&] { return static_cast<std::int64_t>(value); };
-      if (key == "id") request.id = as_int();
-      else if (key == "arrival_s") request.arrival_time = value;
-      else if (key == "prompt") request.prompt_len = as_int();
-      else if (key == "output") request.output_len = as_int();
-      else if (key == "priority") request.priority = as_int();
-      else if (key == "tenant") request.tenant_id = as_int();
-      else if (key == "prefix_id") request.prefix_id = as_int();
-      else if (key == "prefix_len") request.prefix_len = as_int();
-      else if (key == "ttft_deadline_s") request.ttft_deadline = value;
-      else if (key == "tpot_deadline_s") request.tpot_deadline = value;
-      else scan.fail("unknown key \"" + key + "\"");
+      bool known = false;
+      for_each_field<Request>([&](const auto& entry) {
+        if (key != entry.name) return;
+        auto& member = request.*entry.member;
+        member = static_cast<std::decay_t<decltype(member)>>(value);
+        known = true;
+      });
+      if (!known) scan.fail("unknown key \"" + key + "\"");
     } while (scan.consume(','));
     scan.expect('}');
   }
@@ -127,26 +124,12 @@ std::string request_trace_jsonl(const std::vector<Request>& requests) {
   std::string out;
   out.reserve(requests.size() * 96);
   for (const Request& request : requests) {
-    out += "{\"id\": ";
-    append_int(&out, request.id);
-    out += ", \"arrival_s\": ";
-    append_double(&out, request.arrival_time);
-    out += ", \"prompt\": ";
-    append_int(&out, request.prompt_len);
-    out += ", \"output\": ";
-    append_int(&out, request.output_len);
-    out += ", \"priority\": ";
-    append_int(&out, request.priority);
-    out += ", \"tenant\": ";
-    append_int(&out, request.tenant_id);
-    out += ", \"prefix_id\": ";
-    append_int(&out, request.prefix_id);
-    out += ", \"prefix_len\": ";
-    append_int(&out, request.prefix_len);
-    out += ", \"ttft_deadline_s\": ";
-    append_double(&out, request.ttft_deadline);
-    out += ", \"tpot_deadline_s\": ";
-    append_double(&out, request.tpot_deadline);
+    const char* separator = "{\"";
+    for_each_field<Request>([&](const auto& entry) {
+      out.append(separator).append(entry.name).append("\": ");
+      append_number(&out, request.*entry.member);
+      separator = ", \"";
+    });
     out += "}\n";
   }
   return out;

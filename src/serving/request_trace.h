@@ -9,8 +9,9 @@
 // format is deliberately line-oriented and flat: greppable, streamable,
 // and diffable in CI.
 //
-// One line per request, objects with these keys (missing keys take the
-// Request defaults; unknown keys are rejected loudly):
+// One line per request, objects with these keys — Request::fields(), in
+// order (missing keys take the Request defaults; unknown keys are
+// rejected loudly):
 //
 //   {"id": 0, "arrival_s": 0.125, "prompt": 512, "output": 128,
 //    "priority": 0, "tenant": 0, "prefix_id": -1, "prefix_len": 0,

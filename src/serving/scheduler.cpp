@@ -98,12 +98,13 @@ StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
         accumulate(costs.prefill_layer(1, step.prev_lens[i]), -1.0);
       }
     }
-  } else if (!step.decode_groups.empty()) {
-    // Scheduler-built steps carry the bucketed grouping (a copy of the
-    // incremental histogram, ascending): one memoized decode shape per
-    // group, no per-step re-derivation.  Steady decode runs repeat the
-    // same grouping step after step, so the summed cost itself is memoized
-    // on the grouping (see StepCostCache::remember_decode_groups).
+  } else {
+    // A decode step carries its bucketed grouping (a copy of the
+    // scheduler's incremental histogram, ascending): one memoized decode
+    // shape per group, no per-step re-derivation.  Steady decode runs
+    // repeat the same grouping step after step, so the summed cost itself
+    // is memoized on the grouping (see StepCostCache::remember_decode_groups).
+    CIMTPU_CHECK(!step.decode_groups.empty());
     if (costs.last_decode_groups_match(step.decode_groups)) {
       CIMTPU_CHECK(costs.last_decode_groups_batch() == step.batch);
       return costs.last_decode_groups_cost();
@@ -115,25 +116,6 @@ StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
     }
     CIMTPU_CHECK(grouped == step.batch);
     costs.remember_decode_groups(step.decode_groups, step.batch, total);
-  } else {
-    // Hand-built records (tests, external callers): derive the grouping
-    // from kv_lens in the cache's reusable scratch.  Sorting ascending
-    // reproduces the histogram path's accumulation order bit for bit.
-    std::vector<std::int64_t>& scratch = costs.decode_group_scratch();
-    scratch.clear();
-    scratch.reserve(step.kv_lens.size());
-    for (std::int64_t kv_len : step.kv_lens) {
-      scratch.push_back(costs.bucket_up(kv_len));
-    }
-    std::sort(scratch.begin(), scratch.end());
-    for (std::size_t i = 0; i < scratch.size();) {
-      std::size_t j = i;
-      while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-      accumulate(costs.decode_layer(static_cast<std::int64_t>(j - i),
-                                    scratch[i]),
-                 +1.0);
-      i = j;
-    }
   }
   return total;
 }

@@ -123,10 +123,11 @@ struct StepRecord {
   std::vector<std::int64_t> chunk_lens;  ///< prefill: new prompt tokens
   std::vector<std::int64_t> prev_lens;   ///< prefill: tokens already prefilled
 
-  /// Decode only: participants grouped by bucketed KV length, ascending —
-  /// a copy of the scheduler's incremental histogram, so cost_step never
-  /// re-derives the grouping from kv_lens.  Empty for hand-built records
-  /// (cost_step then groups from kv_lens itself).
+  /// Decode only: participants grouped by bucketed KV length, ascending,
+  /// as (bucketed kv_len, count) — a copy of the scheduler's incremental
+  /// histogram, so cost_step never re-derives the grouping from kv_lens.
+  /// Required on every decode record cost_step sees; hand-built records
+  /// must fill it too.
   std::vector<std::pair<std::int64_t, std::int64_t>> decode_groups;
 
   std::vector<std::int64_t> first_token_ids;  ///< emitted their first token

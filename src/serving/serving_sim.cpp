@@ -887,9 +887,11 @@ struct ServingEngine::Impl {
                                    metrics.wasted_recompute_tokens);
       metrics.registry.set_counter("engine.retries_total",
                                    metrics.retries_total);
-      metrics.fault.publish(&metrics.registry);
+      publish_fields(metrics.fault, &metrics.registry);
     }
-    metrics.counters.publish(&metrics.registry);
+    publish_fields(metrics.counters, &metrics.registry);
+    metrics.registry.set_gauge("scheduler.prefix_hit_rate",
+                               metrics.counters.prefix_hit_rate());
     costs.publish(&metrics.registry);
     kv_cache.publish(&metrics.registry);
     scheduler.admission_policy().publish(&metrics.registry);

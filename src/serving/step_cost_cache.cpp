@@ -1,9 +1,11 @@
 #include "serving/step_cost_cache.h"
 
+#include <iomanip>
 #include <sstream>
+#include <type_traits>
 
+#include "common/fields.h"
 #include "common/status.h"
-#include "ir/dtype.h"
 #include "serving/obs_registry.h"
 
 namespace cimtpu::serving {
@@ -118,9 +120,31 @@ std::size_t SharedStepCostCache::total_entries() const {
 
 namespace {
 
-void append_memory_level(std::ostringstream& out,
-                         const mem::MemoryLevelSpec& level) {
-  out << level.capacity << ',' << level.bandwidth << '|';
+/// Appends every listed member of `object` exactly: nested specs through
+/// their own lists, doubles as hexfloat (round-trip exact), strings quoted
+/// (no separator can alias), enums as their underlying value.
+template <class T>
+void append_fields(std::ostringstream& out, const T& object) {
+  for_each_field<T>([&out, &object](const auto& entry) {
+    const auto& value = object.*entry.member;
+    using V = std::decay_t<decltype(value)>;
+    out << entry.name << '=';
+    if constexpr (std::is_same_v<V, std::string>) {
+      out << std::quoted(value);
+    } else if constexpr (std::is_class_v<V>) {
+      out << '{';
+      append_fields(out, value);
+      out << '}';
+    } else if constexpr (std::is_enum_v<V>) {
+      out << static_cast<long long>(value);
+    } else if constexpr (std::is_floating_point_v<V>) {
+      out << std::hexfloat << value << std::defaultfloat;
+    } else {
+      static_assert(std::is_integral_v<V>, "unhandled field type");
+      out << value;
+    }
+    out << ';';
+  });
 }
 
 }  // namespace
@@ -128,36 +152,11 @@ void append_memory_level(std::ostringstream& out,
 std::string cost_cache_signature(const arch::TpuChipConfig& chip,
                                  const models::TransformerConfig& model,
                                  std::int64_t bucket) {
-  // Anything that changes a run_*_layer result must land here — not just
-  // the preset name, since callers may mutate individual spec fields of a
-  // named preset (design-space sweeps do exactly that).  So the signature
-  // spells out every numeric knob the layer simulator can see: clock and
-  // technology, the active MXU geometry, the VPU, the memory hierarchy,
-  // and the ICI link, plus the model architecture and the cost bucket.
   std::ostringstream signature;
-  signature << chip.name << '|' << chip.technology << '|' << chip.clock << '|'
-            << chip.mxu_count << '|' << mxu_kind_name(chip.mxu_kind) << '|';
-  if (chip.mxu_kind == arch::MxuKind::kDigitalSystolic) {
-    signature << chip.systolic.rows << ',' << chip.systolic.cols << ','
-              << static_cast<int>(chip.systolic.dataflow) << '|';
-  } else {
-    signature << chip.cim.grid_rows << ',' << chip.cim.grid_cols << ','
-              << chip.cim.core_rows << ',' << chip.cim.core_cols << ','
-              << chip.cim.core_macs_per_cycle << ','
-              << chip.cim.weight_io_bytes_per_cycle << ','
-              << chip.cim.overlapped_weight_update << '|';
-  }
-  signature << chip.vpu.sublanes << ',' << chip.vpu.lanes << ','
-            << chip.vpu.ops_per_lane_per_cycle << '|';
-  append_memory_level(signature, chip.memory.vmem);
-  append_memory_level(signature, chip.memory.cmem);
-  append_memory_level(signature, chip.memory.hbm);
-  signature << chip.ici.links_per_chip << ',' << chip.ici.bandwidth_per_link
-            << ',' << chip.ici.hop_latency << '|'
-            << model.name << '|' << model.num_layers << '|' << model.d_model
-            << '|' << model.num_heads << '|' << model.d_ff << '|'
-            << model.vocab_size << '|' << static_cast<int>(model.ffn) << '|'
-            << ir::dtype_name(model.dtype) << '|' << bucket;
+  append_fields(signature, chip);
+  signature << '|';
+  append_fields(signature, model);
+  signature << '|' << bucket;
   return signature.str();
 }
 

@@ -102,10 +102,13 @@ class SharedStepCostCache {
   std::unordered_map<std::string, std::unique_ptr<Store>> stores_;
 };
 
-/// Signature under which runs may share computed step costs: every field
-/// that feeds run_prefill_layer / run_decode_layer results.  Chip count,
-/// eviction policy, and traffic do NOT affect per-layer shape costs, so a
-/// whole arrival-rate x chips x policy sweep typically shares one store.
+/// Signature under which runs may share computed step costs, derived from
+/// the chip and model field lists (common/fields.h): every leaf field,
+/// the inactive MXU spec included, written exactly (doubles as hexfloat),
+/// so two configs share a store only when all their fields are equal.
+/// Chip count, eviction policy, and traffic do NOT affect per-layer shape
+/// costs, so a whole arrival-rate x chips x policy sweep typically shares
+/// one store.
 std::string cost_cache_signature(const arch::TpuChipConfig& chip,
                                  const models::TransformerConfig& model,
                                  std::int64_t bucket);
@@ -159,10 +162,6 @@ class StepCostCache {
   /// "cost_cache.*" names (serving/obs_registry.h).
   void publish(MetricsRegistry* registry) const;
 
-  /// Reusable scratch for cost_step's decode grouping (per-run, never
-  /// shared across threads).
-  std::vector<std::int64_t>& decode_group_scratch() { return scratch_; }
-
   /// Reusable scratch for cost_step's batched-prefill (prev, chunk) shape
   /// grouping — the last per-step container that still allocated on the
   /// hot path (per-run, never shared across threads).
@@ -201,7 +200,6 @@ class StepCostCache {
   std::int64_t bucket_;
   FlatCostTable local_;
   SharedStepCostCache::Store* shared_;  ///< may be null (per-run cache only)
-  std::vector<std::int64_t> scratch_;
   std::vector<std::pair<std::int64_t, std::int64_t>> shape_scratch_;
   std::vector<std::pair<std::int64_t, std::int64_t>> last_groups_;
   StepCost last_groups_cost_;

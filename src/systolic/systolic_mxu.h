@@ -16,6 +16,7 @@
 // busy cycles burn kDigitalBubbleActivity of a MAC (clock + skew registers
 // are not gated); weights pay a per-hop register-shift energy.
 
+#include "common/fields.h"
 #include "systolic/matrix_unit.h"
 
 namespace cimtpu::systolic {
@@ -36,6 +37,11 @@ struct SystolicMxuSpec {
   Dataflow dataflow = Dataflow::kWeightStationary;
 
   void validate() const;
+  static constexpr auto fields() {  // common/fields.h
+    using S = SystolicMxuSpec;
+    return std::make_tuple(field("rows", &S::rows), field("cols", &S::cols),
+                           field("dataflow", &S::dataflow));
+  }
 };
 
 class SystolicMxu final : public MatrixUnit {

@@ -7,6 +7,7 @@
 // gathers.  The VPU is IDENTICAL in the baseline and CIM designs — the
 // paper replaces only the MXUs — so its model is shared.
 
+#include "common/fields.h"
 #include "common/units.h"
 #include "ir/op.h"
 #include "tech/area_model.h"
@@ -21,6 +22,12 @@ struct VpuSpec {
 
   int total_lanes() const { return sublanes * lanes; }
   void validate() const;
+  static constexpr auto fields() {  // common/fields.h
+    using S = VpuSpec;
+    return std::make_tuple(
+        field("sublanes", &S::sublanes), field("lanes", &S::lanes),
+        field("ops_per_lane_per_cycle", &S::ops_per_lane_per_cycle));
+  }
 };
 
 /// Cost of one vector op on the VPU.

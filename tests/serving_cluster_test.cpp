@@ -12,9 +12,11 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "arch/chip.h"
+#include "common/fields.h"
 #include "common/status.h"
 #include "mem/link.h"
 #include "models/model_zoo.h"
@@ -581,6 +583,39 @@ TEST(ClusterSweepTest, ClusterCellsBitIdenticalAcrossThreadCounts) {
   // Replicated cells really are cluster runs: 2x the chips.
   EXPECT_EQ(a[0].metrics.chips, 1);
   EXPECT_EQ(a[2].metrics.chips, 2);
+}
+
+TEST(ClusterSweepTest, FlattenedCellSumsReplicaFaultStats) {
+  // A recovery-off fault storm over two replicas: both shed requests to
+  // faults, and the flattened cell must carry the replicas' FaultStats sum.
+  const ServingScenario scenario =
+      fault_storm_scenario(ir::DType::kInt4, /*recovery=*/false);
+  const std::vector<Request> requests = generate_requests(slo_chat_stream(
+      /*seed=*/42, kSloFrontierRequests, /*arrival_rate=*/10.0));
+  SweepPoint point;
+  point.label = "fault_storm replicas=2";
+  point.scenario = scenario;
+  point.requests = &requests;
+  point.replicas = 2;
+  const ServingMetrics flat = run_sweep({point}).at(0);
+
+  ClusterConfig config;
+  config.base = scenario;
+  config.replicas.assign(
+      2, ReplicaSpec{scenario.chips, scenario.tensor_parallel_ways});
+  const ClusterMetrics cluster = run_serving_cluster(config, requests);
+  ASSERT_EQ(cluster.replica_metrics.size(), 2u);
+  for_each_field<FaultStats>([&](const auto& entry) {
+    std::decay_t<decltype(flat.fault.*entry.member)> sum = 0;
+    for (const ServingMetrics& replica : cluster.replica_metrics) {
+      sum += replica.fault.*entry.member;
+    }
+    EXPECT_EQ(flat.fault.*entry.member, sum) << entry.name;
+  });
+  // The single-engine invariants (serving_fault_test) hold for the rollup.
+  EXPECT_GT(flat.fault.dropped, 0);
+  EXPECT_EQ(flat.counters.shed_fault, flat.fault.dropped);
+  EXPECT_EQ(flat.wasted_recompute_tokens, flat.fault.wasted_recompute_tokens);
 }
 
 // --- Canonical cluster studies (the schema-v9 "cluster" bench block) ---------

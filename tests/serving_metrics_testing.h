@@ -6,19 +6,33 @@
 // bit-identity.  The wall-clock fields sim_wall_seconds / steps_per_second
 // are the only exclusions — they measure the host, not the simulation.
 //
-// Adding a field to ServingMetrics (or to a struct it nests) means adding
-// one line here.
+// ServingCounters and FaultStats are compared by walking their field lists
+// (common/fields.h), so a member added there is compared automatically.
+// The structs still compared by hand carry a static_assert on their member
+// count: adding a field to one fails this header's build until the field
+// is compared below and the count is bumped.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 
+#include "common/fields.h"
 #include "serving/metrics.h"
 #include "serving/obs_registry.h"
 #include "serving/serving_sim.h"
 
 namespace cimtpu::serving {
 
+/// EXPECT_EQ on every entry of `S::fields()`, naming the entry on failure.
+template <class S>
+void expect_identical_fields(const S& a, const S& b) {
+  for_each_field<S>([&a, &b](const auto& entry) {
+    EXPECT_EQ(a.*entry.member, b.*entry.member) << entry.name;
+  });
+}
+
+static_assert(field_count<LatencySummary>() == 6,
+              "compare the new LatencySummary field below");
 inline void expect_identical_latency(const LatencySummary& a,
                                      const LatencySummary& b) {
   EXPECT_EQ(a.count, b.count);
@@ -29,6 +43,10 @@ inline void expect_identical_latency(const LatencySummary& a,
   EXPECT_EQ(a.max, b.max);
 }
 
+static_assert(field_count<TenantMetrics>() == 8,
+              "compare the new TenantMetrics field below");
+static_assert(field_count<ServingMetrics>() == 39,
+              "compare the new ServingMetrics field below");
 inline void expect_identical_metrics(const ServingMetrics& a,
                                      const ServingMetrics& b) {
   EXPECT_EQ(a.chips, b.chips);
@@ -41,21 +59,7 @@ inline void expect_identical_metrics(const ServingMetrics& a,
   EXPECT_EQ(a.decode_steps, b.decode_steps);
   EXPECT_EQ(a.preemptions, b.preemptions);
 
-  const ServingCounters& ca = a.counters;
-  const ServingCounters& cb = b.counters;
-  EXPECT_EQ(ca.preemptions_recompute, cb.preemptions_recompute);
-  EXPECT_EQ(ca.preemptions_swap, cb.preemptions_swap);
-  EXPECT_EQ(ca.swap_ins, cb.swap_ins);
-  EXPECT_EQ(ca.swap_out_bytes, cb.swap_out_bytes);
-  EXPECT_EQ(ca.swap_in_bytes, cb.swap_in_bytes);
-  EXPECT_EQ(ca.chunked_prefill_steps, cb.chunked_prefill_steps);
-  EXPECT_EQ(ca.prefix_lookup_tokens, cb.prefix_lookup_tokens);
-  EXPECT_EQ(ca.prefix_hit_tokens, cb.prefix_hit_tokens);
-  EXPECT_EQ(ca.prefix_shared_blocks, cb.prefix_shared_blocks);
-  EXPECT_EQ(ca.prefix_cow_blocks, cb.prefix_cow_blocks);
-  EXPECT_EQ(ca.shed_deadline, cb.shed_deadline);
-  EXPECT_EQ(ca.shed_horizon, cb.shed_horizon);
-  EXPECT_EQ(ca.shed_fault, cb.shed_fault);
+  expect_identical_fields(a.counters, b.counters);
 
   EXPECT_EQ(a.prefix_hit_rate, b.prefix_hit_rate);
   EXPECT_EQ(a.kv_internal_fragmentation, b.kv_internal_fragmentation);
@@ -75,18 +79,7 @@ inline void expect_identical_metrics(const ServingMetrics& a,
   EXPECT_EQ(a.mttr_seconds, b.mttr_seconds);
   EXPECT_EQ(a.wasted_recompute_tokens, b.wasted_recompute_tokens);
   EXPECT_EQ(a.retries_total, b.retries_total);
-  const FaultStats& fa = a.fault;
-  const FaultStats& fb = b.fault;
-  EXPECT_EQ(fa.stalls, fb.stalls);
-  EXPECT_EQ(fa.kv_losses, fb.kv_losses);
-  EXPECT_EQ(fa.device_failures, fb.device_failures);
-  EXPECT_EQ(fa.host_restores, fb.host_restores);
-  EXPECT_EQ(fa.host_restore_bytes, fb.host_restore_bytes);
-  EXPECT_EQ(fa.retries, fb.retries);
-  EXPECT_EQ(fa.dropped, fb.dropped);
-  EXPECT_EQ(fa.wasted_recompute_tokens, fb.wasted_recompute_tokens);
-  EXPECT_EQ(fa.degrade_enters, fb.degrade_enters);
-  EXPECT_EQ(fa.degrade_exits, fb.degrade_exits);
+  expect_identical_fields(a.fault, b.fault);
 
   EXPECT_EQ(a.tenants.size(), b.tenants.size());
   for (std::size_t i = 0; i < a.tenants.size() && i < b.tenants.size(); ++i) {

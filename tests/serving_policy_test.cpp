@@ -882,6 +882,7 @@ TEST_F(CostModelTest, PerSequenceDecodeCostDiffersFromMeanCost) {
   step.kind = StepRecord::Kind::kDecode;
   step.batch = 2;
   step.kv_lens = {128, 4096};
+  step.decode_groups = {{128, 1}, {4096, 1}};
   const StepCost per_sequence = cost_step(costs, step);
   const StepCost exact_sum = [&] {
     StepCost sum;
@@ -902,25 +903,38 @@ TEST_F(CostModelTest, PerSequenceDecodeCostDiffersFromMeanCost) {
 }
 
 TEST_F(CostModelTest, EqualLengthBatchGroupsIntoOneShape) {
-  StepCostCache costs(simulator_, model_, 128);
+  // Prompts 199..255 decode first at KV 200..256, which all bucket to 256:
+  // the scheduler's record carries one group, costed as one shape.
+  KvCacheManager kv(1e9, 1.0);
+  SchedulerConfig config;
+  ASSERT_EQ(config.seqlen_bucket, 128);
+  ContinuousBatchScheduler scheduler(config, &kv);
+  for (std::int64_t prompt : {199, 219, 249, 255}) {
+    scheduler.enqueue(make_request(prompt, prompt, 10));
+  }
   StepRecord step;
-  step.kind = StepRecord::Kind::kDecode;
-  step.batch = 4;
-  step.kv_lens = {200, 220, 250, 256};  // all bucket to 256
+  ASSERT_TRUE(scheduler.next_step(&step));
+  ASSERT_EQ(step.kind, StepRecord::Kind::kPrefill);
+  ASSERT_TRUE(scheduler.next_step(&step));
+  ASSERT_EQ(step.kind, StepRecord::Kind::kDecode);
+  EXPECT_EQ(step.kv_lens, (std::vector<std::int64_t>{200, 220, 250, 256}));
+  EXPECT_EQ(step.decode_groups,
+            (std::vector<std::pair<std::int64_t, std::int64_t>>{{256, 4}}));
+
+  StepCostCache costs(simulator_, model_, config.seqlen_bucket);
   const StepCost grouped = cost_step(costs, step);
   const StepCost direct = costs.decode_layer(4, 256);
   EXPECT_DOUBLE_EQ(grouped.latency, direct.latency);
   EXPECT_DOUBLE_EQ(grouped.total_energy, direct.total_energy);
 }
 
-TEST_F(CostModelTest, DecodeCostInvariantUnderParticipantOrder) {
+TEST_F(CostModelTest, DecodeRecordWithoutGroupsIsRejected) {
   StepCostCache costs(simulator_, model_, 128);
-  StepRecord a, b;
-  a.kind = b.kind = StepRecord::Kind::kDecode;
-  a.batch = b.batch = 3;
-  a.kv_lens = {128, 1024, 4096};
-  b.kv_lens = {4096, 128, 1024};
-  EXPECT_DOUBLE_EQ(cost_step(costs, a).latency, cost_step(costs, b).latency);
+  StepRecord step;
+  step.kind = StepRecord::Kind::kDecode;
+  step.batch = 1;
+  step.kv_lens = {128};
+  EXPECT_THROW(cost_step(costs, step), InternalError);
 }
 
 TEST_F(CostModelTest, ChunkedPrefillCostTelescopesToUnchunked) {
