@@ -604,9 +604,9 @@ int main(int argc, char** argv) {
         {cell_f(cell.fault_rate, 2), recovery ? "on" : "off",
          cell_f(metrics.availability, 4), format_time(metrics.mttr_seconds),
          cell_f(metrics.slo_goodput_tokens_per_second, 1),
-         cell_i(metrics.completed), cell_i(metrics.retries_total),
+         cell_i(metrics.completed), cell_i(metrics.fault.retries),
          cell_i(metrics.counters.shed_fault),
-         cell_i(metrics.wasted_recompute_tokens),
+         cell_i(metrics.fault.wasted_recompute_tokens),
          cell_i(metrics.fault.host_restores)});
     if (!first) json << ",\n";
     first = false;
@@ -614,10 +614,10 @@ int main(int argc, char** argv) {
          << ", \"recovery\": " << (recovery ? "true" : "false")
          << ", \"availability\": " << metrics.availability
          << ", \"mttr_s\": " << metrics.mttr_seconds
-         << ", \"retries\": " << metrics.retries_total
+         << ", \"retries\": " << metrics.fault.retries
          << ", \"shed_fault\": " << metrics.counters.shed_fault
          << ", \"wasted_recompute_tokens\": "
-         << metrics.wasted_recompute_tokens
+         << metrics.fault.wasted_recompute_tokens
          << ", \"stalls\": " << metrics.fault.stalls
          << ", \"kv_losses\": " << metrics.fault.kv_losses
          << ", \"device_failures\": " << metrics.fault.device_failures

@@ -567,9 +567,9 @@ int main(int argc, char** argv) {
           {recovery ? "on" : "off", cell_f(metrics.availability, 4),
            format_time(metrics.mttr_seconds),
            cell_f(metrics.slo_goodput_tokens_per_second, 1),
-           cell_i(metrics.completed), cell_i(metrics.retries_total),
+           cell_i(metrics.completed), cell_i(metrics.fault.retries),
            cell_i(metrics.counters.shed_fault),
-           cell_i(metrics.wasted_recompute_tokens),
+           cell_i(metrics.fault.wasted_recompute_tokens),
            cell_i(metrics.fault.host_restores),
            cell_i(metrics.fault.degrade_enters)});
       std::printf(
@@ -582,9 +582,9 @@ int main(int argc, char** argv) {
           static_cast<long long>(metrics.fault.stalls),
           static_cast<long long>(metrics.fault.kv_losses),
           static_cast<long long>(metrics.fault.device_failures),
-          static_cast<long long>(metrics.retries_total),
+          static_cast<long long>(metrics.fault.retries),
           static_cast<long long>(metrics.counters.shed_fault),
-          static_cast<long long>(metrics.wasted_recompute_tokens));
+          static_cast<long long>(metrics.fault.wasted_recompute_tokens));
     }
     std::printf("\n");
     storm_table.print();

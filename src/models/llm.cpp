@@ -89,9 +89,19 @@ ir::Graph build_prefill_layer(const TransformerConfig& config,
   return graph;
 }
 
+ir::Graph build_decode_attention(const TransformerConfig& config,
+                                 std::int64_t batch, std::int64_t kv_len,
+                                 ir::Residency kv_residency) {
+  CIMTPU_CONFIG_CHECK(batch > 0 && kv_len > 0,
+                      "decode needs positive batch/kv_len");
+  ir::Graph graph(config.name + "-decode-attention");
+  add_attention(graph, config, batch, /*q_rows=*/1, kv_len, kv_residency);
+  return graph;
+}
+
 ir::Graph build_decode_layer(const TransformerConfig& config,
                              std::int64_t batch, std::int64_t kv_len,
-                             ir::Residency kv_residency) {
+                             ir::Residency kv_residency, OpSpan* attention) {
   config.validate();
   CIMTPU_CONFIG_CHECK(batch > 0 && kv_len > 0,
                       "decode needs positive batch/kv_len");
@@ -106,7 +116,11 @@ ir::Graph build_decode_layer(const TransformerConfig& config,
   // Append this step's K/V rows to the cache.
   graph.add(ir::make_data_movement("kv_append", "Attention",
                                    2 * rows * config.d_model, dtype));
-  add_attention(graph, config, batch, /*q_rows=*/1, kv_len, kv_residency);
+  const std::size_t attention_begin = graph.size();
+  graph.append(build_decode_attention(config, batch, kv_len, kv_residency));
+  if (attention != nullptr) {
+    *attention = {attention_begin, graph.size() - attention_begin};
+  }
   graph.add(ir::make_weight_gemm("out_proj", "Proj.", rows, config.d_model,
                                  config.d_model, dtype));
   graph.add(ir::make_elementwise("residual1", "LayerNorm", rows * config.d_model,

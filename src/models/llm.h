@@ -12,6 +12,7 @@
 // multiplies by layer count (all layers are identical) or walks decode
 // steps with a growing KV length.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "ir/graph.h"
@@ -31,11 +32,29 @@ ir::Graph build_prefill_layer(const TransformerConfig& config,
                               std::int64_t batch, std::int64_t seq_len,
                               ir::Residency kv_residency);
 
+/// A contiguous run of ops in a graph: indices [begin, begin + size).
+struct OpSpan {
+  std::size_t begin = 0;
+  std::size_t size = 0;
+};
+
+/// The attention block of one decode layer (Q*K^T, softmax, S*V^T for one
+/// query row per sequence): the only decode ops whose shape depends on
+/// `kv_len` and `kv_residency`.  Does not validate `config`;
+/// build_decode_layer does.
+ir::Graph build_decode_attention(const TransformerConfig& config,
+                                 std::int64_t batch, std::int64_t kv_len,
+                                 ir::Residency kv_residency);
+
 /// One Transformer layer in the Decoding stage at KV length `kv_len`
-/// (the step that emits token kv_len - input_len + 1).
+/// (the step that emits token kv_len - input_len + 1).  When `attention`
+/// is non-null it receives where build_decode_attention's ops sit in the
+/// returned graph; every op outside that span is independent of `kv_len`
+/// and `kv_residency`.
 ir::Graph build_decode_layer(const TransformerConfig& config,
                              std::int64_t batch, std::int64_t kv_len,
-                             ir::Residency kv_residency);
+                             ir::Residency kv_residency,
+                             OpSpan* attention = nullptr);
 
 /// Token embedding for `tokens` total tokens (gather from the vocab table).
 ir::Graph build_token_embedding(const TransformerConfig& config,

@@ -285,8 +285,9 @@ void stitch_requests(const std::vector<Request>& requests,
   if (cluster->makespan > 0) {
     cluster->goodput_tokens_per_second =
         static_cast<double>(cluster->generated_tokens) / cluster->makespan;
+    cluster->slo_goodput_tokens_per_second =
+        static_cast<double>(slo_tokens) / cluster->makespan;
   }
-  (void)slo_tokens;
 }
 
 // Fleet-level rollups computed from the finished per-replica metrics:
@@ -651,9 +652,11 @@ ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster) {
   flat.goodput_tokens_per_second = cluster.goodput_tokens_per_second;
   flat.slo_met = cluster.slo_met;
   flat.slo_attainment = cluster.slo_attainment;
+  flat.slo_goodput_tokens_per_second = cluster.slo_goodput_tokens_per_second;
   flat.availability = cluster.availability;
   flat.prefix_hit_rate = cluster.prefix_hit_rate;
   double busy_chip_seconds = 0;
+  double fragmentation_steps = 0;
   for (const ServingMetrics& replica : cluster.replica_metrics) {
     flat.total_steps += replica.total_steps;
     flat.prefill_steps += replica.prefill_steps;
@@ -663,8 +666,6 @@ ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster) {
     // mttr_seconds stays unaggregated (0): a mean repair interval is not a
     // sum, and the replicas' repair counts are not kept to weight one.
     add_fields(&flat.fault, replica.fault);
-    flat.wasted_recompute_tokens += replica.wasted_recompute_tokens;
-    flat.retries_total += replica.retries_total;
     flat.mxu_energy += replica.mxu_energy;
     flat.total_energy += replica.total_energy;
     flat.cost_cache_entries += replica.cost_cache_entries;
@@ -674,6 +675,12 @@ ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster) {
                                     replica.sim_end_seconds);
     busy_chip_seconds += replica.mxu_utilization * replica.makespan *
                          static_cast<double>(replica.chips);
+    fragmentation_steps += replica.kv_internal_fragmentation *
+                           static_cast<double>(replica.total_steps);
+  }
+  if (flat.total_steps > 0) {
+    flat.kv_internal_fragmentation =
+        fragmentation_steps / static_cast<double>(flat.total_steps);
   }
   if (flat.makespan > 0 && flat.chips > 0) {
     flat.mxu_utilization =

@@ -141,6 +141,8 @@ struct ClusterMetrics {
   double goodput_tokens_per_second = 0;
   std::int64_t slo_met = 0;
   double slo_attainment = 1.0;
+  /// Deadline-meeting requests' output tokens over the makespan.
+  double slo_goodput_tokens_per_second = 0;
   double availability = 1.0;
 
   /// Cluster-wide prefix economics: summed scheduler counters, so the hit
@@ -181,8 +183,11 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
 
 /// Collapses a cluster rollup into one ServingMetrics for drivers that
 /// compare cluster cells next to single-engine cells (the sweep): the
-/// stitched request-level fields, summed step/energy counters, the total
-/// chip count, and the cluster registry.
+/// stitched request-level fields (SLO goodput included), summed
+/// step/energy counters, the replicas' step-weighted mean KV internal
+/// fragmentation, the total chip count, and the cluster registry.
+/// Per-tenant rows are not rolled up: `tenants` stays empty and
+/// `jain_fairness` is the across-replica index, not a per-tenant one.
 ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster);
 
 }  // namespace cimtpu::serving

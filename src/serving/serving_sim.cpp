@@ -806,8 +806,6 @@ struct ServingEngine::Impl {
 
     // --- Resilience rollup (schema-v8) -------------------------------------
     metrics.fault = fault_stats;
-    metrics.wasted_recompute_tokens = fault_stats.wasted_recompute_tokens;
-    metrics.retries_total = fault_stats.retries;
     if (!repair_times.empty()) {
       metrics.mttr_seconds =
           std::accumulate(repair_times.begin(), repair_times.end(), 0.0) /
@@ -884,9 +882,9 @@ struct ServingEngine::Impl {
       // pre-fault builds key for key.
       metrics.registry.set_gauge("engine.mttr_s", metrics.mttr_seconds);
       metrics.registry.set_counter("engine.wasted_recompute_tokens",
-                                   metrics.wasted_recompute_tokens);
+                                   fault_stats.wasted_recompute_tokens);
       metrics.registry.set_counter("engine.retries_total",
-                                   metrics.retries_total);
+                                   fault_stats.retries);
       publish_fields(metrics.fault, &metrics.registry);
     }
     publish_fields(metrics.counters, &metrics.registry);

@@ -130,14 +130,12 @@ struct ServingMetrics {
   /// `mttr_seconds` is the mean repair interval over repaired faults:
   /// host restores repair in the PCIe re-fetch time, recompute victims
   /// when the re-admitted request finally completes (0 with no repairs).
-  /// `wasted_recompute_tokens` counts computed tokens (prefill beyond
-  /// prefix hits + decode) thrown away by fault evictions;
-  /// `retries_total` counts backoff re-admissions.  All four are 0 /
-  /// 1.0-defaulted and `fault` all-zero when the subsystem is off.
+  /// `fault.wasted_recompute_tokens` counts computed tokens (prefill
+  /// beyond prefix hits + decode) thrown away by fault evictions;
+  /// `fault.retries` counts backoff re-admissions.  With the subsystem off
+  /// `availability` is 1.0, `mttr_seconds` 0 and `fault` all-zero.
   double availability = 1.0;
   Seconds mttr_seconds = 0;
-  std::int64_t wasted_recompute_tokens = 0;
-  std::int64_t retries_total = 0;
   FaultStats fault;  ///< per-type event + recovery counts ("fault.*")
 
   /// Per-tenant QoS breakdown (schema-v4): one row per tenant id with at

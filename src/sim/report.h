@@ -49,6 +49,12 @@ struct GroupSummary {
     total_energy += other.total_energy;
     return *this;
   }
+
+  /// Adds one op's latency and energies (Simulator::run's group rollup).
+  void add_op(const OpResult& op);
+
+  /// Scales every field by `factor` (e.g. layer count).
+  GroupSummary& scale(double factor);
 };
 
 /// Result of a graph (one layer, one block, one stage...).
@@ -76,6 +82,10 @@ struct GraphResult {
   }
   /// Average MXU power over the graph's execution.
   Watts mxu_power() const { return latency > 0 ? mxu_energy() / latency : 0; }
+
+  /// Adds one op's latency, energies, MACs and MXU busy time to the totals
+  /// (Simulator::run's per-op rollup); neither `ops` nor `groups` changes.
+  void add_op_totals(const OpResult& op);
 
   /// Scales all totals by `factor` (e.g. layer count); per-op detail keeps
   /// single-instance values.

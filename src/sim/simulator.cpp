@@ -83,24 +83,37 @@ GraphResult Simulator::run(const ir::Graph& graph) const {
   result.ops.reserve(graph.size());
   for (const ir::Op& op : graph.ops()) {
     OpResult op_result = run_op(op);
-    result.latency += op_result.latency;
-    result.useful_macs += op_result.useful_macs;
-    result.mxu_busy_energy += op_result.mxu_busy_energy;
-    result.mxu_idle_energy += op_result.mxu_idle_energy;
-    result.mxu_leakage_energy += op_result.mxu_leakage_energy;
-    result.vpu_energy += op_result.vpu_energy;
-    result.memory_energy += op_result.memory_energy;
-    if (op_result.on_mxu) {
-      result.mxu_busy_time += op_result.compute_time;
-    }
-    GroupSummary& group = result.groups[op_result.group];
-    group.latency += op_result.latency;
-    group.mxu_energy += op_result.mxu_energy();
-    group.total_energy += op_result.mxu_energy() + op_result.vpu_energy +
-                          op_result.memory_energy;
+    result.add_op_totals(op_result);
+    result.groups[op_result.group].add_op(op_result);
     result.ops.push_back(std::move(op_result));
   }
   return result;
+}
+
+void GroupSummary::add_op(const OpResult& op) {
+  latency += op.latency;
+  mxu_energy += op.mxu_energy();
+  total_energy += op.mxu_energy() + op.vpu_energy + op.memory_energy;
+}
+
+GroupSummary& GroupSummary::scale(double factor) {
+  latency *= factor;
+  mxu_energy *= factor;
+  total_energy *= factor;
+  return *this;
+}
+
+void GraphResult::add_op_totals(const OpResult& op) {
+  latency += op.latency;
+  useful_macs += op.useful_macs;
+  mxu_busy_energy += op.mxu_busy_energy;
+  mxu_idle_energy += op.mxu_idle_energy;
+  mxu_leakage_energy += op.mxu_leakage_energy;
+  vpu_energy += op.vpu_energy;
+  memory_energy += op.memory_energy;
+  if (op.on_mxu) {
+    mxu_busy_time += op.compute_time;
+  }
 }
 
 GraphResult& GraphResult::scale(double factor) {
@@ -113,9 +126,7 @@ GraphResult& GraphResult::scale(double factor) {
   memory_energy *= factor;
   useful_macs *= factor;
   for (auto& [key, group] : groups) {
-    group.latency *= factor;
-    group.mxu_energy *= factor;
-    group.total_energy *= factor;
+    group.scale(factor);
   }
   return *this;
 }

@@ -1,8 +1,82 @@
 #include "sim/workload_runner.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/status.h"
 
 namespace cimtpu::sim {
+namespace {
+
+// The decode stage of one run_llm_inference call, through a decode-layer
+// plan.  A decode step differs from the last only inside the attention
+// block (models::build_decode_attention), so every other op of the layer
+// is costed once and each step re-costs just that block, at its own KV
+// length and its own kv_residency_for choice: a KV cache that outgrows
+// CMEM mid-generation flips to HBM at exactly the step it would.  Each
+// step's totals and group sums are added in Simulator::run's op order,
+// then scaled and summed as run_decode_layer + scale + operator+= would,
+// so the result is bit-identical to evaluating every step in full.  Groups
+// sit in dense slots (first-appearance order) during the loop and become
+// the string-keyed map once, at the end.  Nothing outlives the call.
+GraphResult run_decode_steps(const Simulator& simulator,
+                             const LlmScenario& scenario) {
+  const models::TransformerConfig& model = scenario.model;
+  const std::int64_t batch = scenario.batch;
+  GraphResult decode;
+  decode.name = model.name + "-decode";
+  if (scenario.output_len == 0) return decode;
+
+  const auto residency = [&](std::int64_t kv_len) {
+    return kv_residency_for(simulator.chip(), model, batch, kv_len);
+  };
+  const std::int64_t first_kv_len = scenario.input_len + 1;
+  models::OpSpan attention;
+  const ir::Graph layer = models::build_decode_layer(
+      model, batch, first_kv_len, residency(first_kv_len), &attention);
+  const std::vector<std::string> groups = layer.groups();
+
+  std::vector<OpResult> ops(layer.size());
+  std::vector<std::size_t> slot_of(layer.size());
+  for (std::size_t i = 0; i < layer.size(); ++i) {
+    const ir::Op& op = layer.op(i);
+    slot_of[i] = static_cast<std::size_t>(
+        std::find(groups.begin(), groups.end(), op.group) - groups.begin());
+    if (i < attention.begin || i >= attention.begin + attention.size) {
+      ops[i] = simulator.run_op(op);
+    }
+  }
+
+  const double layers = static_cast<double>(model.num_layers);
+  std::vector<GroupSummary> step_groups(groups.size());
+  std::vector<GroupSummary> decode_groups(groups.size());
+  for (std::int64_t t = 1; t <= scenario.output_len; ++t) {
+    const std::int64_t kv_len = scenario.input_len + t;
+    const ir::Graph block = models::build_decode_attention(
+        model, batch, kv_len, residency(kv_len));
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      ops[attention.begin + i] = simulator.run_op(block.op(i));
+    }
+    GraphResult step;
+    std::fill(step_groups.begin(), step_groups.end(), GroupSummary{});
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      step.add_op_totals(ops[i]);
+      step_groups[slot_of[i]].add_op(ops[i]);
+    }
+    step.scale(layers);
+    decode += step;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      decode_groups[g] += step_groups[g].scale(layers);
+    }
+  }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    decode.groups.emplace(groups[g], decode_groups[g]);
+  }
+  return decode;
+}
+
+}  // namespace
 
 ir::Residency kv_residency_for(const arch::TpuChip& chip,
                                const models::TransformerConfig& model,
@@ -56,17 +130,9 @@ LlmRunResult run_llm_inference(const Simulator& simulator,
   result.prefill.scale(static_cast<double>(scenario.model.num_layers));
   result.prefill.name = scenario.model.name + "-prefill";
 
-  // Decode steps with growing KV length.  Consecutive steps differ by one
-  // cache row; evaluating every step is cheap (analytic model), and keeps
-  // crossover effects (KV spilling out of CMEM) exact.
-  result.decode.name = scenario.model.name + "-decode";
-  for (std::int64_t t = 1; t <= scenario.output_len; ++t) {
-    const std::int64_t kv_len = scenario.input_len + t;
-    GraphResult step = run_decode_layer(simulator, scenario.model,
-                                        scenario.batch, kv_len);
-    step.scale(static_cast<double>(scenario.model.num_layers));
-    result.decode += step;
-  }
+  // Decode steps with growing KV length, one step per output token: the
+  // plan in run_decode_steps re-costs only each step's attention block.
+  result.decode = run_decode_steps(simulator, scenario);
   // output_len == 0 (prefill-only scoring) must not divide by zero.
   result.decode_latency_per_token =
       scenario.output_len > 0

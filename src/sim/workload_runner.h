@@ -59,7 +59,12 @@ GraphResult run_dit_block(const Simulator& simulator,
                           std::int64_t batch);
 
 /// Full LLM inference: prefill of the prompt plus `output_len` decode steps
-/// with growing KV cache, across all layers (Fig. 7 LLM panel).
+/// with growing KV cache, across all layers (Fig. 7 LLM panel).  Decode runs
+/// through a decode-layer plan local to this call: the layer's
+/// KV-independent ops are costed once, and each step re-costs only the
+/// attention block at its KV length and KV residency.  The result is
+/// bit-identical to summing run_decode_layer over every step, each scaled
+/// by the layer count.
 LlmRunResult run_llm_inference(const Simulator& simulator,
                                const LlmScenario& scenario);
 

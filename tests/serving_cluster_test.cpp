@@ -615,7 +615,55 @@ TEST(ClusterSweepTest, FlattenedCellSumsReplicaFaultStats) {
   // The single-engine invariants (serving_fault_test) hold for the rollup.
   EXPECT_GT(flat.fault.dropped, 0);
   EXPECT_EQ(flat.counters.shed_fault, flat.fault.dropped);
-  EXPECT_EQ(flat.wasted_recompute_tokens, flat.fault.wasted_recompute_tokens);
+}
+
+TEST(ClusterSweepTest, FlattenedCellCarriesSloGoodputAndFragmentation) {
+  // A deadline-carrying EDF stream over two colocated replicas: the
+  // flattened cell reports the stitched SLO goodput (deadline-meeting
+  // tokens over the cluster makespan) and the replicas' step-weighted KV
+  // fragmentation, not the 0 a single-engine default would leave.
+  const ServingScenario scenario = slo_scenario(ir::DType::kInt4, "edf");
+  const std::vector<Request> requests = generate_requests(
+      slo_chat_stream(/*seed=*/42, /*num_requests=*/400, /*arrival_rate=*/10));
+  SweepPoint point;
+  point.label = "slo replicas=2";
+  point.scenario = scenario;
+  point.requests = &requests;
+  point.replicas = 2;
+  const ServingMetrics flat = run_sweep({point}).at(0);
+
+  ClusterConfig config;
+  config.base = scenario;
+  config.replicas.assign(
+      2, ReplicaSpec{scenario.chips, scenario.tensor_parallel_ways});
+  const ClusterMetrics cluster = run_serving_cluster(config, requests);
+  ASSERT_EQ(cluster.replica_metrics.size(), 2u);
+  ASSERT_GT(cluster.makespan, 0);
+  // Colocated replicas judge each request once against its own deadlines,
+  // so the cluster's deadline-meeting tokens are the replicas' sum.
+  std::int64_t slo_tokens = 0;
+  double fragmentation_steps = 0;
+  std::int64_t steps = 0;
+  for (const ServingMetrics& replica : cluster.replica_metrics) {
+    slo_tokens += std::llround(replica.slo_goodput_tokens_per_second *
+                               replica.makespan);
+    fragmentation_steps += replica.kv_internal_fragmentation *
+                           static_cast<double>(replica.total_steps);
+    steps += replica.total_steps;
+  }
+  EXPECT_GT(slo_tokens, 0);
+  EXPECT_EQ(cluster.slo_goodput_tokens_per_second,
+            static_cast<double>(slo_tokens) / cluster.makespan);
+  EXPECT_GT(flat.slo_goodput_tokens_per_second, 0);
+  EXPECT_EQ(flat.slo_goodput_tokens_per_second,
+            cluster.slo_goodput_tokens_per_second);
+  EXPECT_LE(flat.slo_goodput_tokens_per_second,
+            flat.goodput_tokens_per_second);
+  ASSERT_GT(steps, 0);
+  EXPECT_DOUBLE_EQ(flat.kv_internal_fragmentation,
+                   fragmentation_steps / static_cast<double>(steps));
+  // Per-tenant rows are not rolled up across replicas.
+  EXPECT_TRUE(flat.tenants.empty());
 }
 
 // --- Canonical cluster studies (the schema-v9 "cluster" bench block) ---------

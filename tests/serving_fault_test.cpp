@@ -233,7 +233,7 @@ TEST(FaultsOffTest, DisabledSubsystemIsBitIdenticalAndUnpublished) {
   EXPECT_EQ(b.registry.counters().count("fault.stalls"), 0u);
   EXPECT_EQ(b.registry.gauges().count("engine.mttr_s"), 0u);
   EXPECT_EQ(b.fault.stalls, 0);
-  EXPECT_EQ(b.retries_total, 0);
+  EXPECT_EQ(b.fault.retries, 0);
   EXPECT_EQ(b.mttr_seconds, 0.0);
 }
 
@@ -271,12 +271,11 @@ TEST(RecoveryTest, RecomputeRetriesThroughBackoffAndEveryRequestFinishes) {
                        /*recovery=*/true, /*budget=*/16),
       requests);
   EXPECT_GT(metrics.fault.kv_losses, 0);
-  EXPECT_GT(metrics.retries_total, 0);
-  EXPECT_EQ(metrics.retries_total, metrics.fault.retries);
+  EXPECT_GT(metrics.fault.retries, 0);
   EXPECT_EQ(metrics.fault.dropped, 0);
   EXPECT_EQ(metrics.counters.shed_fault, 0);
   // Victims lose their computed prompt/decode work...
-  EXPECT_GT(metrics.wasted_recompute_tokens, 0);
+  EXPECT_GT(metrics.fault.wasted_recompute_tokens, 0);
   // ...but backoff re-admission finishes them all: full availability, and
   // each recompute span lands one MTTR sample.
   EXPECT_EQ(metrics.completed, metrics.num_requests);
@@ -296,7 +295,7 @@ TEST(RecoveryTest, RecoveryOffShedsEveryVictim) {
   // every victim is dropped with shed cause "fault".
   EXPECT_EQ(metrics.fault.dropped, metrics.fault.kv_losses);
   EXPECT_EQ(metrics.counters.shed_fault, metrics.fault.dropped);
-  EXPECT_EQ(metrics.retries_total, 0);
+  EXPECT_EQ(metrics.fault.retries, 0);
   EXPECT_EQ(metrics.completed + metrics.counters.shed_fault,
             metrics.num_requests);
   EXPECT_LT(metrics.availability, 1.0);
@@ -312,7 +311,7 @@ TEST(RecoveryTest, ExhaustedRetryBudgetIsAFaultShed) {
                        /*recovery=*/true, /*budget=*/0),
       requests);
   ASSERT_GT(metrics.fault.kv_losses, 0);
-  EXPECT_EQ(metrics.retries_total, 0);
+  EXPECT_EQ(metrics.fault.retries, 0);
   EXPECT_EQ(metrics.fault.dropped, metrics.fault.kv_losses);
   EXPECT_EQ(metrics.counters.shed_fault, metrics.fault.dropped);
 }
@@ -328,9 +327,9 @@ TEST(RecoveryTest, HostRestoreRecoversInPlaceWithoutRetries) {
   // restored in place — the sequence never leaves the engine, so no
   // retries, no drops, no wasted recompute, full availability.
   EXPECT_EQ(metrics.fault.host_restores, metrics.fault.kv_losses);
-  EXPECT_EQ(metrics.retries_total, 0);
+  EXPECT_EQ(metrics.fault.retries, 0);
   EXPECT_EQ(metrics.fault.dropped, 0);
-  EXPECT_EQ(metrics.wasted_recompute_tokens, 0);
+  EXPECT_EQ(metrics.fault.wasted_recompute_tokens, 0);
   EXPECT_GT(metrics.fault.host_restore_bytes, 0.0);
   EXPECT_EQ(metrics.completed, metrics.num_requests);
   EXPECT_EQ(metrics.availability, 1.0);
@@ -354,8 +353,8 @@ TEST(RecoveryTest, DeviceFailureRestartsAndRecoveryReplaysTheWork) {
   const ServingMetrics baseline = run_serving(clean, requests);
 
   ASSERT_GT(faulty.fault.device_failures, 0);
-  EXPECT_GT(faulty.retries_total, 0);
-  EXPECT_GT(faulty.wasted_recompute_tokens, 0);
+  EXPECT_GT(faulty.fault.retries, 0);
+  EXPECT_GT(faulty.fault.wasted_recompute_tokens, 0);
   // Recovery replays everything the failures destroyed...
   EXPECT_EQ(faulty.completed, faulty.num_requests);
   EXPECT_EQ(faulty.availability, 1.0);
@@ -566,7 +565,7 @@ TEST(SweepFaultAxisTest, SentinelsInheritAndLabelsStayStable) {
   // storm): bit-identical to the explicit rate-1/recovery-on cell.
   EXPECT_EQ(inherited[0].metrics.completed, cells[3].metrics.completed);
   EXPECT_EQ(inherited[0].metrics.availability, cells[3].metrics.availability);
-  EXPECT_EQ(inherited[0].metrics.retries_total, cells[3].metrics.retries_total);
+  EXPECT_EQ(inherited[0].metrics.fault.retries, cells[3].metrics.fault.retries);
 }
 
 TEST(SweepFaultAxisTest, StormMetricsAreBitIdenticalAcrossThreadCounts) {
@@ -593,9 +592,9 @@ TEST(SweepFaultAxisTest, StormMetricsAreBitIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].metrics.availability, b[i].metrics.availability);
     EXPECT_EQ(a[i].metrics.completed, b[i].metrics.completed);
-    EXPECT_EQ(a[i].metrics.retries_total, b[i].metrics.retries_total);
-    EXPECT_EQ(a[i].metrics.wasted_recompute_tokens,
-              b[i].metrics.wasted_recompute_tokens);
+    EXPECT_EQ(a[i].metrics.fault.retries, b[i].metrics.fault.retries);
+    EXPECT_EQ(a[i].metrics.fault.wasted_recompute_tokens,
+              b[i].metrics.fault.wasted_recompute_tokens);
     EXPECT_EQ(a[i].metrics.mttr_seconds, b[i].metrics.mttr_seconds);
     EXPECT_EQ(a[i].metrics.fault.kv_losses, b[i].metrics.fault.kv_losses);
     EXPECT_EQ(a[i].metrics.slo_goodput_tokens_per_second,
@@ -625,13 +624,13 @@ TEST(ResilienceFrontierTest, RecoveryStrictlyBeatsRecoveryOffOnTheStorm) {
   EXPECT_GT(on.slo_goodput_tokens_per_second,
             off.slo_goodput_tokens_per_second);
   // Recovery machinery actually engaged on the winning side...
-  EXPECT_GT(on.retries_total, 0);
+  EXPECT_GT(on.fault.retries, 0);
   EXPECT_GT(on.fault.host_restores, 0);
   EXPECT_EQ(on.counters.shed_fault, 0);
   // ...while the off side bled requests and recomputed nothing.
   EXPECT_GT(off.counters.shed_fault, 0);
-  EXPECT_EQ(off.retries_total, 0);
-  EXPECT_LT(on.wasted_recompute_tokens, off.wasted_recompute_tokens);
+  EXPECT_EQ(off.fault.retries, 0);
+  EXPECT_LT(on.fault.wasted_recompute_tokens, off.fault.wasted_recompute_tokens);
   // The sustained-failure detector saw the storm on both sides.
   EXPECT_GT(on.fault.degrade_enters, 0);
   EXPECT_GT(off.fault.degrade_enters, 0);
@@ -672,7 +671,7 @@ TEST(ResilienceFrontierTest, AvailabilityRecomputedFromTraceEventsMatches) {
   // event: every counted fault and every recovery emitted its event.
   EXPECT_EQ(faults, metrics.fault.stalls + metrics.fault.kv_losses +
                         metrics.fault.device_failures);
-  EXPECT_EQ(recovers, metrics.retries_total + metrics.fault.host_restores);
+  EXPECT_EQ(recovers, metrics.fault.retries + metrics.fault.host_restores);
   EXPECT_EQ(fault_sheds, metrics.counters.shed_fault);
   EXPECT_EQ(degrades,
             metrics.fault.degrade_enters + metrics.fault.degrade_exits);
@@ -685,7 +684,7 @@ TEST(ResilienceFrontierTest, AvailabilityRecomputedFromTraceEventsMatches) {
   EXPECT_EQ(metrics.registry.counters().at("fault.kv_losses"),
             metrics.fault.kv_losses);
   EXPECT_EQ(metrics.registry.counters().at("engine.retries_total"),
-            metrics.retries_total);
+            metrics.fault.retries);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ inline void expect_identical_latency(const LatencySummary& a,
 
 static_assert(field_count<TenantMetrics>() == 8,
               "compare the new TenantMetrics field below");
-static_assert(field_count<ServingMetrics>() == 39,
+static_assert(field_count<ServingMetrics>() == 37,
               "compare the new ServingMetrics field below");
 inline void expect_identical_metrics(const ServingMetrics& a,
                                      const ServingMetrics& b) {
@@ -77,8 +77,6 @@ inline void expect_identical_metrics(const ServingMetrics& a,
 
   EXPECT_EQ(a.availability, b.availability);
   EXPECT_EQ(a.mttr_seconds, b.mttr_seconds);
-  EXPECT_EQ(a.wasted_recompute_tokens, b.wasted_recompute_tokens);
-  EXPECT_EQ(a.retries_total, b.retries_total);
   expect_identical_fields(a.fault, b.fault);
 
   EXPECT_EQ(a.tenants.size(), b.tenants.size());

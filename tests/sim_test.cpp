@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "arch/chip.h"
 #include "arch/tpu_config.h"
 #include "sim/simulator.h"
@@ -166,6 +171,150 @@ TEST_F(SimulatorTest, LlmInferenceComposition) {
   EXPECT_NEAR(run.decode.latency,
               run.decode_latency_per_token * scenario.output_len,
               run.decode.latency * 1e-9);
+}
+
+// The decode loop run_llm_inference ran before its decode-layer plan:
+// every step evaluated in full through run_decode_layer, scaled by the layer
+// count and summed.  The reference the plan must match bit for bit.
+LlmRunResult per_step_oracle(const Simulator& simulator,
+                             const LlmScenario& scenario) {
+  LlmRunResult result;
+  GraphResult prefill_layer = run_prefill_layer(
+      simulator, scenario.model, scenario.batch, scenario.input_len);
+  result.prefill_latency_per_layer = prefill_layer.latency;
+  result.prefill = prefill_layer;
+  result.prefill.scale(static_cast<double>(scenario.model.num_layers));
+  result.prefill.name = scenario.model.name + "-prefill";
+  result.decode.name = scenario.model.name + "-decode";
+  for (std::int64_t t = 1; t <= scenario.output_len; ++t) {
+    GraphResult step = run_decode_layer(simulator, scenario.model,
+                                        scenario.batch, scenario.input_len + t);
+    step.scale(static_cast<double>(scenario.model.num_layers));
+    result.decode += step;
+  }
+  result.decode_latency_per_token =
+      scenario.output_len > 0
+          ? result.decode.latency / static_cast<double>(scenario.output_len)
+          : 0.0;
+  result.total = result.prefill;
+  result.total += result.decode;
+  result.total.name = scenario.model.name + "-total";
+  return result;
+}
+
+void expect_same_bits(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << what << ": " << a << " vs "
+                                              << b;
+}
+
+void expect_identical(const GraphResult& a, const GraphResult& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.name, b.name) << where;
+  expect_same_bits(a.latency, b.latency, where + " latency");
+  expect_same_bits(a.mxu_busy_time, b.mxu_busy_time, where + " mxu_busy_time");
+  expect_same_bits(a.mxu_busy_energy, b.mxu_busy_energy,
+                   where + " mxu_busy_energy");
+  expect_same_bits(a.mxu_idle_energy, b.mxu_idle_energy,
+                   where + " mxu_idle_energy");
+  expect_same_bits(a.mxu_leakage_energy, b.mxu_leakage_energy,
+                   where + " mxu_leakage_energy");
+  expect_same_bits(a.vpu_energy, b.vpu_energy, where + " vpu_energy");
+  expect_same_bits(a.memory_energy, b.memory_energy, where + " memory_energy");
+  expect_same_bits(a.useful_macs, b.useful_macs, where + " useful_macs");
+  ASSERT_EQ(a.ops.size(), b.ops.size()) << where;
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    EXPECT_EQ(a.ops[i].name, b.ops[i].name) << where;
+    expect_same_bits(a.ops[i].latency, b.ops[i].latency,
+                     where + " op " + a.ops[i].name);
+  }
+  ASSERT_EQ(a.groups.size(), b.groups.size()) << where;
+  for (auto ia = a.groups.begin(), ib = b.groups.begin(); ia != a.groups.end();
+       ++ia, ++ib) {
+    const std::string group = where + " group " + ia->first;
+    EXPECT_EQ(ia->first, ib->first) << where;
+    expect_same_bits(ia->second.latency, ib->second.latency,
+                     group + " latency");
+    expect_same_bits(ia->second.mxu_energy, ib->second.mxu_energy,
+                     group + " mxu_energy");
+    expect_same_bits(ia->second.total_energy, ib->second.total_energy,
+                     group + " total_energy");
+  }
+}
+
+// Largest KV length whose K/V operand still stays in CMEM (0 if none does).
+std::int64_t last_cmem_kv_len(const arch::TpuChip& chip,
+                              const models::TransformerConfig& model,
+                              std::int64_t batch) {
+  const auto in_cmem = [&](std::int64_t kv_len) {
+    return kv_residency_for(chip, model, batch, kv_len) ==
+           ir::Residency::kCmem;
+  };
+  if (!in_cmem(1)) return 0;
+  std::int64_t lo = 1, hi = std::int64_t{1} << 30;  // in_cmem(lo), !in_cmem(hi)
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    (in_cmem(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+// Exhaustive: every Table IV design x four paper models x batch {1, 8, 32},
+// at output lengths 0 and 1, the paper's 1024 in / 512 out, and a run whose
+// KV cache leaves CMEM partway through the generation.  The decode-layer
+// plan must reproduce the per-step loop bit for bit.
+TEST(DecodePlanTest, MatchesPerStepLoopOnTableIvGrid) {
+  const std::pair<int, int> grids[] = {{8, 8}, {16, 8}, {16, 16}};
+  std::vector<arch::TpuChipConfig> designs = {arch::tpu_v4i_baseline()};
+  for (int count : {2, 4, 8}) {
+    for (const auto& [rows, cols] : grids) {
+      designs.push_back(arch::cim_tpu(count, rows, cols));
+    }
+  }
+  const std::vector<models::TransformerConfig> models_under_test = {
+      models::llama2_7b(), models::llama2_13b(), models::gpt3_30b(),
+      models::gpt3_175b()};
+  int cases = 0, crossing = 0;
+  for (const arch::TpuChipConfig& design : designs) {
+    const arch::TpuChip chip(design);
+    const Simulator simulator(chip);
+    for (const models::TransformerConfig& model : models_under_test) {
+      for (std::int64_t batch : {1, 8, 32}) {
+        std::vector<std::pair<std::int64_t, std::int64_t>> shapes = {
+            {1024, 0}, {1024, 1}, {1024, 512}, {7, 5}};
+        const std::int64_t last_cmem = last_cmem_kv_len(chip, model, batch);
+        if (last_cmem > 4) shapes.push_back({last_cmem - 4, 9});
+        for (const auto& [input_len, output_len] : shapes) {
+          LlmScenario scenario;
+          scenario.model = model;
+          scenario.batch = batch;
+          scenario.input_len = input_len;
+          scenario.output_len = output_len;
+          const std::string where = design.name + "/" + model.name + "/b" +
+                                    std::to_string(batch) + "/" +
+                                    std::to_string(input_len) + "+" +
+                                    std::to_string(output_len);
+          const LlmRunResult plan = run_llm_inference(simulator, scenario);
+          const LlmRunResult oracle = per_step_oracle(simulator, scenario);
+          expect_identical(plan.prefill, oracle.prefill, where + " prefill");
+          expect_identical(plan.decode, oracle.decode, where + " decode");
+          expect_identical(plan.total, oracle.total, where + " total");
+          expect_same_bits(plan.prefill_latency_per_layer,
+                           oracle.prefill_latency_per_layer, where);
+          expect_same_bits(plan.decode_latency_per_token,
+                           oracle.decode_latency_per_token, where);
+          ++cases;
+          if (output_len > 0 &&
+              kv_residency_for(chip, model, batch, input_len + 1) !=
+                  kv_residency_for(chip, model, batch,
+                                   input_len + output_len)) {
+            ++crossing;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 10 * 4 * 3 * 4);
+  EXPECT_GT(crossing, 0) << "no case crossed the KV residency threshold";
 }
 
 TEST_F(SimulatorTest, DecodeDominatesLongGenerations) {
